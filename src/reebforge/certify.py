@@ -12,6 +12,12 @@ Three checks, all constructive:
   a node decomposes into exactly degree-many cylindrical stubs, one per
   incident arc end.
 
+Both walks, the arc's strand and each star-like stub, step over runs of
+cuts where LevelSlicer.next_change shows that their components cannot
+change, and handle each run once. cuts_tested and cuts_walked still count
+every cut a walk spans, jumped or not, and a failing run reports one
+CutFailure per cut.
+
 Certification requires a surface complex; extraction does not.
 """
 
@@ -159,28 +165,36 @@ def certify_arc_embedding(g, field, arc_id):
 
 
 def _walk_strand(slicer, t0, t1, seed_item):
-    """Component lists per cut t0..t1 reached from the seed, plus gluing.
+    """Runs of cuts t0..t1 reached from the seed, plus gluing.
 
-    Returns (comps, links): comps[p] is the component list at cut t0 + p,
-    links[p] pairs indices of comps[p] with indices of comps[p + 1].
+    Returns (runs, links). runs[s] is (t, n, comps): the n cuts from t on
+    all hold the component list comps, because slicer.next_change saw no
+    item change between them. links[s] pairs indices of runs[s]'s comps
+    with indices of runs[s + 1]'s. Cut t0 is walked even when t1 < t0.
     """
-    comps = [[slicer.component(t0, seed_item)]]
+    cur = [slicer.component(t0, seed_item)]
+    t = t0
+    runs = []
     links = []
-    for t in range(t0, t1):
-        cur = comps[-1]
+    while True:
+        t_next = slicer.next_change(cur, t, +1)
+        if t_next > t1:
+            runs.append((t, max(t, t1) - t + 1, cur))
+            return runs, links
+        runs.append((t, t_next - t, cur))
         nxt = []
         step = []
         for i, comp in enumerate(cur):
-            for s in slicer.advance(comp, t, +1):
+            for s in slicer.advance(comp, t_next - 1, +1):
                 j = next((k for k, cj in enumerate(nxt) if s in cj), None)
                 if j is None:
                     j = len(nxt)
-                    nxt.append(slicer.component(t + 1, s))
+                    nxt.append(slicer.component(t_next, s))
                 if (i, j) not in step:
                     step.append((i, j))
-        comps.append(nxt)
         links.append(step)
-    return comps, links
+        cur = nxt
+        t = t_next
 
 
 def _min_item(comp):
@@ -219,25 +233,28 @@ def certify_arc_cylindrical(g, c, field, arc_id, slicer=None):
             ),
         )
 
-    comps, links = _walk_strand(slicer, t0, t_hi - 1, ("e", arc.birth_edge))
-    m = len(comps)
+    runs, links = _walk_strand(slicer, t0, t_hi - 1, ("e", arc.birth_edge))
+    r = len(runs)
 
     lower_vs = set(g.nodes[arc.lower].vertices)
     upper_vs = set(g.nodes[arc.upper].vertices)
-    seeds_down = slicer.advance(comps[0][0], t0, -1)
+    seeds_down = slicer.advance(runs[0][2][0], t0, -1)
     below = slicer.component(t_lo, seeds_down[0]) if seeds_down else frozenset()
     lower_attached = any(("v", u) in below for u in lower_vs)
-    upper_attached = bool(comps[-1])
-    for comp in comps[-1]:
+    top = runs[-1][2]
+    upper_attached = bool(top)
+    for comp in top:
         seeds_up = slicer.advance(comp, t_hi - 1, +1)
         above = slicer.component(t_hi, seeds_up[0]) if seeds_up else frozenset()
         if not any(("v", u) in above for u in upper_vs):
             upper_attached = False
 
     # suffix component counts via reverse incremental union-find over
-    # (cut, index) instances; the piece below any cut is always connected
+    # (run, index) instances; the piece below any cut is always connected.
+    # A run's repeated cuts glue index to index, so one instance per run
+    # gives the count of every suffix starting inside it.
     failures = []
-    suffix_count = [0] * m
+    suffix_count = [0] * r
     parent = {}
 
     def find(x):
@@ -247,32 +264,34 @@ def certify_arc_cylindrical(g, c, field, arc_id, slicer=None):
         return x
 
     count = 0
-    for p in range(m - 1, -1, -1):
-        for i in range(len(comps[p])):
-            parent[(p, i)] = (p, i)
+    for s in range(r - 1, -1, -1):
+        for i in range(len(runs[s][2])):
+            parent[(s, i)] = (s, i)
             count += 1
-        if p < m - 1:
-            for i, j in links[p]:
-                ri, rj = find((p, i)), find((p + 1, j))
+        if s < r - 1:
+            for i, j in links[s]:
+                ri, rj = find((s, i)), find((s + 1, j))
                 if ri != rj:
                     parent[rj] = ri
                     count -= 1
-        suffix_count[p] = count
-    # suffix_count[p] currently counts cuts >= p; shift to strictly above
-    above_counts = [
-        suffix_count[p + 1] if p + 1 < m else len(comps[m - 1]) for p in range(m)
-    ]
+        suffix_count[s] = count
 
-    for p in range(m):
-        slice_n = len(comps[p])
-        pieces = 1 + above_counts[p]
-        if slice_n == 1 and pieces == 2:
+    # pieces above a cut: the suffix from the next cut, which is in the same
+    # run for all but the run's last cut
+    for s, (t, n, comps) in enumerate(runs):
+        inner = 1 + suffix_count[s]
+        last = 1 + (suffix_count[s + 1] if s + 1 < r else len(comps))
+        if len(comps) == 1 and last == 2 and (n == 1 or inner == 2):
             continue
-        value, side = slicer.cut_position(t0 + p)
-        reps = tuple(sorted(_min_item(comp) for comp in comps[p]))
-        failures.append(
-            CutFailure(value=value, side=side, pieces=pieces, representatives=reps)
-        )
+        reps = tuple(sorted(_min_item(comp) for comp in comps))
+        for p in range(n):
+            pieces = inner if p < n - 1 else last
+            if len(comps) == 1 and pieces == 2:
+                continue
+            value, side = slicer.cut_position(t + p)
+            failures.append(
+                CutFailure(value=value, side=side, pieces=pieces, representatives=reps)
+            )
 
     ok = lower_attached and upper_attached and not failures
     return CylindricalCertificate(
@@ -281,7 +300,7 @@ def certify_arc_cylindrical(g, c, field, arc_id, slicer=None):
         seed_active=True,
         lower_attached=lower_attached,
         upper_attached=upper_attached,
-        cuts_tested=m,
+        cuts_tested=sum(n for _, n, _ in runs),
         failures=tuple(failures),
     )
 
@@ -382,11 +401,17 @@ def certify_node_starlike(g, c, field, node_id, slicer=None):
         step = 1 if direction == "up" else -1
         walked = 1
         while t != t_end:
+            # cuts before the next change repeat cur; count them as walked
+            t_next = slicer.next_change(cur, t, step)
+            if (t_next - t_end) * step > 0:
+                walked += (t_end - t) * step
+                break
+            walked += (t_next - t) * step - 1
             seeds = []
             for cc in cur:
-                seeds.extend(slicer.advance(cc, t, step))
-            nxt = slicer.components_from(t + step, seeds)
-            t += step
+                seeds.extend(slicer.advance(cc, t_next - step, step))
+            nxt = slicer.components_from(t_next, seeds)
+            t = t_next
             walked += 1
             if len(nxt) != len(cur):
                 value, side = slicer.cut_position(t)
@@ -401,7 +426,6 @@ def certify_node_starlike(g, c, field, node_id, slicer=None):
                     )
                 )
                 ok = False
-                cur = nxt
                 break
             cur = nxt
         stubs.append(

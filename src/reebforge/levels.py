@@ -7,6 +7,13 @@ Items of a cut are vertices sitting exactly at the value (at cuts only) and
 edges whose endpoint values strictly straddle it; two items are adjacent
 when a triangle contains both, or when an edge joins two equal-value
 vertices.
+
+Walks that follow components from cut to cut may jump. While no component
+they hold contains a vertex item, those components repeat exactly at every
+cut up to the first at cut where one of their edges ends (next_change): a
+vertex at a level in between that shares a triangle with one of their edges
+would already be an item of the same component, through the triangle's edge
+that ends at it.
 """
 
 from __future__ import annotations
@@ -50,18 +57,23 @@ class LevelSlicer:
     def __init__(self, c, field):
         self.c = c
         self.field = field
-        vals = field.values
-        distinct = sorted(set(vals))
+        distinct = sorted(set(field.values))
         self.values = distinct
         self.value_index = {x: k for k, x in enumerate(distinct)}
+        # vertex_cut[v] is the at cut of v, twice its value's index; edge e
+        # is an item of exactly the cuts strictly between its endpoints' at
+        # cuts, edge_lo[e] < t < edge_hi[e]
+        index = self.value_index
+        self.vertex_cut = vcut = [2 * index[x] for x in field.values]
         self.at_vertices = [[] for _ in distinct]
-        for v in range(c.vertex_count):
-            self.at_vertices[self.value_index[vals[v]]].append(v)
-        self.edge_level = []
+        for v, cv in enumerate(vcut):
+            self.at_vertices[cv >> 1].append(v)
+        self.edge_lo = []
+        self.edge_hi = []
         for a, b in c.edges:
-            ka = self.value_index[vals[a]]
-            kb = self.value_index[vals[b]]
-            self.edge_level.append((ka, kb) if ka <= kb else (kb, ka))
+            ca, cb = vcut[a], vcut[b]
+            self.edge_lo.append(ca if ca <= cb else cb)
+            self.edge_hi.append(cb if ca <= cb else ca)
         self.tri_edges = c.triangle_edges()
         self.cut_count = max(0, 2 * len(distinct) - 1)
 
@@ -102,62 +114,54 @@ class LevelSlicer:
         return ((self.values[k] + self.values[k + 1]) / 2, "mid")
 
     def edge_active(self, e, t):
-        klo, khi = self.edge_level[e]
-        k, odd = divmod(t, 2)
-        if odd:
-            return klo <= k < khi
-        return klo < k < khi
+        return self.edge_lo[e] < t < self.edge_hi[e]
 
     # -- items and adjacency ----------------------------------------------
 
     def items_at(self, t):
-        k, odd = divmod(t, 2)
-        items = []
-        if not odd:
-            items.extend(("v", u) for u in self.at_vertices[k])
-        for e in range(len(self.c.edges)):
-            if self.edge_active(e, t):
-                items.append(("e", e))
-        return items
-
-    def _triangle_items(self, ti, t):
-        k, odd = divmod(t, 2)
-        items = []
-        tri = self.c.triangles[ti]
-        if not odd:
-            vals = self.field.values
-            target = self.values[k]
-            items.extend(("v", p) for p in tri if vals[p] == target)
-        for e in self.tri_edges[ti]:
-            if self.edge_active(e, t):
-                items.append(("e", e))
+        lo, hi = self.edge_lo, self.edge_hi
+        items = [("v", u) for u in self.at_vertices[t >> 1]] if t % 2 == 0 else []
+        items.extend(("e", e) for e in range(len(lo)) if lo[e] < t < hi[e])
         return items
 
     def neighbors(self, item, t):
+        """Items adjacent to item at cut t, in a fixed order.
+
+        This is the one adjacency routine: component walks through it.
+        """
         c = self.c
+        vcut, lo, hi = self.vertex_cut, self.edge_lo, self.edge_hi
+        kind, i = item
         out = []
-        if item[0] == "e":
-            for ti in c.edge_triangles(item[1]):
-                out.extend(x for x in self._triangle_items(ti, t) if x != item)
+        if kind == "e":
+            tris = c.edge_triangles(i)
         else:
-            u = item[1]
-            val = self.field.values[u]
-            for ei in c.vertex_edges(u):
-                a, b = c.edges[ei]
-                w = b if a == u else a
-                if self.field.values[w] == val:
+            cu = vcut[i]
+            edges = c.edges
+            for ei in c.vertex_edges(i):
+                a, b = edges[ei]
+                w = b if a == i else a
+                if vcut[w] == cu:
                     out.append(("v", w))
-            for ti in c.vertex_triangles(u):
-                out.extend(x for x in self._triangle_items(ti, t) if x != item)
+            tris = c.vertex_triangles(i)
+        triangles, tri_edges = c.triangles, self.tri_edges
+        is_edge = kind == "e"
+        for ti in tris:
+            for p in triangles[ti]:
+                if vcut[p] == t and (is_edge or p != i):
+                    out.append(("v", p))
+            for e in tri_edges[ti]:
+                if lo[e] < t < hi[e] and (e != i or not is_edge):
+                    out.append(("e", e))
         return out
 
     def component(self, t, seed):
         """Connected level-set component of the seed item at cut t."""
         seen = {seed}
         stack = [seed]
+        neighbors = self.neighbors
         while stack:
-            it = stack.pop()
-            for nb in self.neighbors(it, t):
+            for nb in neighbors(stack.pop(), t):
                 if nb not in seen:
                     seen.add(nb)
                     stack.append(nb)
@@ -180,7 +184,9 @@ class LevelSlicer:
         t2 = t + direction
         if not 0 <= t2 < self.cut_count:
             return []
-        vals = self.field.values
+        vcut, lo, hi = self.vertex_cut, self.edge_lo, self.edge_hi
+        edges = self.c.edges
+        vertex_edges = self.c.vertex_edges
         seeds = []
         seen = set()
 
@@ -190,23 +196,43 @@ class LevelSlicer:
                 seeds.append(it)
 
         for it in items:
-            if it[0] == "e":
-                e = it[1]
-                if self.edge_active(e, t2):
+            kind, i = it
+            if kind == "e":
+                if lo[i] < t2 < hi[i]:
                     put(it)
                 else:
-                    a, b = self.c.edges[e]
                     # the edge ends on the vertex sitting at the next at cut
-                    k2 = t2 // 2
-                    for p in (a, b):
-                        if self.value_index[vals[p]] == k2:
+                    for p in edges[i]:
+                        if vcut[p] == t2:
                             put(("v", p))
             else:
-                u = it[1]
-                for ei in self.c.vertex_edges(u):
-                    if self.edge_active(ei, t2):
+                for ei in vertex_edges(i):
+                    if lo[ei] < t2 < hi[ei]:
                         put(("e", ei))
         return seeds
+
+    def next_change(self, comps, t, direction):
+        """First cut past t, in the walk's direction, where comps can change.
+
+        comps are whole components at cut t. If one holds a vertex item the
+        answer is t + direction. Otherwise every item is an edge, and the
+        answer is the first at cut where one of them ends: 2 * min(khi)
+        going up, 2 * max(klo) going down. Every cut strictly between t and
+        that cut holds exactly the same components: an edge active at the
+        later cut was active at t too, and a vertex at an intermediate level
+        sharing a triangle with a component edge would put an edge ending at
+        that level into the component.
+        """
+        ends = self.edge_hi if direction > 0 else self.edge_lo
+        edge_ends = []
+        for comp in comps:
+            for kind, i in comp:
+                if kind == "v":
+                    return t + direction
+                edge_ends.append(ends[i])
+        if not edge_ends:
+            return t + direction
+        return min(edge_ends) if direction > 0 else max(edge_ends)
 
 
 def level_components(c, field, value, side=AT):

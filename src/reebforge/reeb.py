@@ -875,7 +875,9 @@ def quotient_point(g, c, field, simplex, weights):
         ti = next(
             x for x in c.vertex_triangles(tri[0]) if c.triangles[x] == tri
         )
-        seed = min(slicer._triangle_items(ti, t))
+        # the point's value lies strictly inside the triangle's range, so
+        # the edge from its lowest to its highest corner crosses the cut
+        seed = ("e", min(e for e in slicer.tri_edges[ti] if slicer.edge_active(e, t)))
     comp = slicer.component(t, seed)
     cur_t = t
     while True:
@@ -891,9 +893,11 @@ def quotient_point(g, c, field, simplex, weights):
                 if a.lower == idx and ("e", a.birth_edge) in prev:
                     return ("arc", a.id, value)
             raise RuntimeError("internal: no arc above node on walk")
+        # every cut above the next change repeats comp
         prev = comp
-        seeds = slicer.advance(comp, cur_t, -1)
-        cur_t -= 1
+        t_next = slicer.next_change((comp,), cur_t, -1)
+        seeds = slicer.advance(comp, t_next + 1, -1)
+        cur_t = t_next
         comp = slicer.component(cur_t, seeds[0])
 
 

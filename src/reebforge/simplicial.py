@@ -79,6 +79,7 @@ class SimplicialComplex:
         "_boundary_edge_ids",
         "_tri_edge_ids",
         "_tri_index",
+        "_is_surface",
     )
 
     def __init__(self, vertex_count, edges=(), triangles=(), tetrahedra=(), coordinates=None):
@@ -165,6 +166,7 @@ class SimplicialComplex:
         )
         self._link_kinds = None
         self._tri_index = None
+        self._is_surface = None
 
     # -- basic queries -------------------------------------------------
 
@@ -297,11 +299,17 @@ class SimplicialComplex:
     @property
     def is_surface(self):
         """True when the complex is a closed or bounded 2-manifold."""
-        if self.tetrahedra or self.vertex_count == 0:
-            return False
-        if any(len(ts) not in (1, 2) for ts in self._edge_triangles):
-            return False
-        return all(self.link_kind(v) in ("cycle", "path") for v in range(self.vertex_count))
+        if self._is_surface is None:
+            self._is_surface = (
+                not self.tetrahedra
+                and self.vertex_count > 0
+                and all(len(ts) in (1, 2) for ts in self._edge_triangles)
+                and all(
+                    self.link_kind(v) in ("cycle", "path")
+                    for v in range(self.vertex_count)
+                )
+            )
+        return self._is_surface
 
     @property
     def is_closed_surface(self):

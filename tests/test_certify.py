@@ -1,5 +1,6 @@
 """Structure certificates: passing cases, constructed failures, mutations."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,14 @@ from reebforge.certify import (
 )
 from reebforge.errors import InputError, ManifoldRequired
 from reebforge.fields import ScalarField
-from reebforge.gallery import gen_example1, gen_example4, gen_surface_zoo, grid_torus
+from reebforge.gallery import (
+    gen_example1,
+    gen_example4,
+    gen_surface_zoo,
+    grid_torus,
+    subdivided_sphere,
+)
+from reebforge.levels import LevelSlicer
 from reebforge.reeb import compute_reeb, minimal_structure
 from reebforge.simplicial import build_complex
 
@@ -130,3 +138,22 @@ def test_boundary_surface_certifies():
     g = compute_reeb(disk, f)
     cert = certify_graph(g, disk, f)
     assert cert.ok, cert.failures()
+
+
+def test_certify_component_walks_stay_linear(monkeypatch):
+    # walks jump over cuts where their level set cannot change; walking every
+    # cut took about 69 component searches per vertex here
+    c = subdivided_sphere(3)
+    rng = random.Random(0)
+    f = ScalarField([rng.random() for _ in range(c.vertex_count)])
+    g = compute_reeb(c, f)
+    calls = []
+    component = LevelSlicer.component
+
+    def counted(self, t, seed):
+        calls.append(t)
+        return component(self, t, seed)
+
+    monkeypatch.setattr(LevelSlicer, "component", counted)
+    assert certify_graph(g, c, f).ok
+    assert len(calls) <= 8 * c.vertex_count

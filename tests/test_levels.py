@@ -1,12 +1,13 @@
 """Cut indexing and level-set component queries."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from reebforge.errors import InputError
 from reebforge.fields import ScalarField
-from reebforge.gallery import grid_torus
+from reebforge.gallery import grid_torus, subdivided_sphere
 from reebforge.levels import ABOVE, AT, BELOW, LevelSlicer, level_components
 from reebforge.simplicial import build_complex
 
@@ -110,3 +111,27 @@ def test_field_length_checked():
     c = build_complex(TETRA)
     with pytest.raises(InputError):
         level_components(c, ScalarField([1, 2]), 1)
+
+
+def test_next_change_skips_only_repeated_cuts():
+    c = subdivided_sphere(2)
+    rng = random.Random(5)
+    f = ScalarField([Fraction(rng.randrange(40), 8) for _ in range(c.vertex_count)])
+    s = LevelSlicer(c, f)
+    jumps = 0
+    for t in range(s.cut_count):
+        comps = s.components_from(t, s.items_at(t))
+        for direction in (1, -1):
+            for group in ([comp] for comp in comps):
+                nxt = s.next_change(group, t, direction)
+                assert (nxt - t) * direction >= 1
+                if any(it[0] == "v" for it in group[0]):
+                    assert nxt == t + direction
+                for between in range(t + direction, nxt, direction):
+                    jumps += 1
+                    seed = min(group[0])
+                    assert s.component(between, seed) == group[0]
+                if 0 <= nxt < s.cut_count:
+                    seeds = s.advance(group[0], nxt - direction, direction)
+                    assert s.components_from(nxt, seeds) != group
+    assert jumps > 0
