@@ -331,15 +331,13 @@ def certify_node_starlike(g, c, field, node_id, slicer=None):
     t_n = slicer.cut_of(node.height, AT)
     contour = slicer.component(t_n, ("v", node.witness_vertex))
 
+    # up pieces before down pieces, each side ordered by its minimum item:
+    # the order of the sets they are found from follows string hashing
     pieces = []
-    if t_n + 1 < slicer.cut_count:
-        seeds = slicer.advance(contour, t_n, +1)
-        for comp in slicer.components_from(t_n + 1, seeds):
-            pieces.append(("up", comp))
-    if t_n - 1 >= 0:
-        seeds = slicer.advance(contour, t_n, -1)
-        for comp in slicer.components_from(t_n - 1, seeds):
-            pieces.append(("down", comp))
+    for direction, step in (("up", 1), ("down", -1)):
+        seeds = slicer.advance(contour, t_n, step)
+        comps = slicer.components_from(t_n + step, seeds)
+        pieces.extend((direction, comp) for comp in sorted(comps, key=min))
 
     if node.degree == 0:
         ok = not pieces and c.component_of(node.witness_vertex) == set(

@@ -1,12 +1,17 @@
 """CLI behavior: subcommands, exit codes, artifact files."""
 
 import json
+import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
 from reebforge import cli
 from reebforge.certify import EmbeddingCertificate, GraphCertificate
+from reebforge.fields import ScalarField, write_field
+from reebforge.gallery import subdivided_sphere
+from reebforge.simplicial import write_off
 
 
 def run_cli(argv, capsys):
@@ -153,3 +158,28 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout.startswith("nodes=3 arcs=2 ")
     assert (out / "reeb.json").is_file()
+
+
+def test_certs_json_bytes_do_not_depend_on_hash_seed(tmp_path):
+    # string hashing changes with PYTHONHASHSEED, and with it the iteration
+    # order of the item sets the star-like check collects its pieces from
+    c = subdivided_sphere(1)
+    rng = random.Random(3)
+    mesh, field = tmp_path / "m.off", tmp_path / "f.txt"
+    write_off(str(mesh), c)
+    write_field(str(field), ScalarField([rng.random() for _ in range(c.vertex_count)]))
+    outs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"hash{seed}"
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "reebforge.cli",
+                "run", str(mesh), str(field), "--certify", "--out", str(out),
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append((out / "certs.json").read_bytes())
+    assert outs[0] == outs[1]
