@@ -217,7 +217,9 @@ class LevelSlicer:
         comps are whole components at cut t. If one holds a vertex item the
         answer is t + direction. Otherwise every item is an edge, and the
         answer is the first at cut where one of them ends: 2 * min(khi)
-        going up, 2 * max(klo) going down. Every cut strictly between t and
+        going up, 2 * max(klo) going down. Without any item nothing can
+        change, and the answer is the first cut past the end, cut_count
+        going up or -1 going down. Every cut strictly between t and
         that cut holds exactly the same components: an edge active at the
         later cut was active at t too, and a vertex at an intermediate level
         sharing a triangle with a component edge would put an edge ending at
@@ -231,7 +233,7 @@ class LevelSlicer:
                     return t + direction
                 edge_ends.append(ends[i])
         if not edge_ends:
-            return t + direction
+            return self.cut_count if direction > 0 else -1
         return min(edge_ends) if direction > 0 else max(edge_ends)
 
 

@@ -1,5 +1,6 @@
 """Structure certificates: passing cases, constructed failures, mutations."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -14,11 +15,14 @@ from reebforge.certify import (
 )
 from reebforge.errors import InputError, ManifoldRequired
 from reebforge.fields import ScalarField
+from reebforge.export import certificates_to_json_bytes
 from reebforge.gallery import (
+    AbstractReebSpec,
     gen_example1,
     gen_example4,
     gen_surface_zoo,
     grid_torus,
+    realize,
     subdivided_sphere,
 )
 from reebforge.levels import LevelSlicer
@@ -157,3 +161,50 @@ def test_certify_component_walks_stay_linear(monkeypatch):
     monkeypatch.setattr(LevelSlicer, "component", counted)
     assert certify_graph(g, c, f).ok
     assert len(calls) <= 8 * c.vertex_count
+
+
+# SHA-256 of certificates_to_json_bytes for (graph, with_swapped_endpoint,
+# without_node) per case, as the cut-by-cut walks wrote them
+FROZEN_CERT_DIGESTS = {
+    "sphere": (
+        "067bd189523b29e4c3c8b04495966f80bab3df53c6cb2bed128b634c86073671",
+        "7ed4c71dd9ae0c3e2083b30c30419b727f899634b3507880f11e236b343851de",
+        "63bb25b325260d0b1b834a4de9c059e3ccd3ad5e340c274c641b505cb365147b",
+    ),
+    "torus": (
+        "836dc88217f8c873a528cfd9475fee20e3585ace24c1ed9a08af7fd6deb5489b",
+        "fd33dc0639646c6a154c1056cfd1ca0d084b1b10aa6eb63344861c05dadb7608",
+        "e3318cce67ea696022ca443d496c2b1cfb525828f21d53f29a85aa754f90f10d",
+    ),
+    "realized": (
+        "1d6e06513c8e4a276f22d8078806365e10ae86fe842f5a4e5b105fef958bd419",
+        "a9ec6fc53456f065ef39c467eeb9ef3824d8f7ed61d3c887b8d1ca71462fcded",
+        "ea1a9c09cc26a117798c9f4f4e8563bf3ef85fc755d6f314afef13a05b1cf12a",
+    ),
+}
+
+
+def test_certificate_bytes_frozen():
+    rng = random.Random(11)
+    sphere = subdivided_sphere(2)
+    torus = grid_torus(6, 5)
+    cases = {
+        "sphere": (sphere, ScalarField([rng.random() for _ in range(sphere.vertex_count)])),
+        "torus": (torus, ScalarField([rng.random() for _ in range(torus.vertex_count)])),
+        "realized": realize(
+            AbstractReebSpec((Fraction(0), Fraction(1), Fraction(2)), ((0, 1), (0, 2)))
+        ),
+    }
+    for name, (c, f) in cases.items():
+        g = compute_reeb(c, f)
+        certs = [certify_graph(h, c, f) for h in (g, with_swapped_endpoint(g), without_node(g))]
+        digests = tuple(
+            hashlib.sha256(certificates_to_json_bytes(cert)).hexdigest() for cert in certs
+        )
+        assert digests == FROZEN_CERT_DIGESTS[name], name
+        assert [cert.ok for cert in certs] == [True, False, False], name
+    # the swapped arc runs past its maximum: every cut above it holds no
+    # component, one run of cuts that fails cut by cut
+    cyl = certs[1].cylindrical[0]
+    empty = [x for x in cyl.failures if x.representatives == ()]
+    assert len(empty) > 1 and all(x.pieces == 1 for x in empty)
