@@ -1043,27 +1043,31 @@ def graphs_isomorphic(g1, g2):
     order = sorted(range(n), key=lambda i: (len(cand[i]), i))
     mapping = [-1] * n
     used = set()
-
-    def extend(k):
-        if k == n:
-            return True
+    # backtracking with an explicit stack: tried[k] counts the candidates
+    # already tried for node order[k]; depth k moves down on a fit and back
+    # up, undoing its choice, when its candidates run out
+    tried = [0] * n
+    k = 0
+    while 0 <= k < n:
         i = order[k]
-        for j in cand[i]:
+        if mapping[i] >= 0:
+            used.discard(mapping[i])
+            mapping[i] = -1
+        cands = cand[i]
+        while tried[k] < len(cands):
+            j = cands[tried[k]]
+            tried[k] += 1
             if j in used:
                 continue
-            ok = True
             for h, mult in adj1[i].items():
                 if mapping[h] >= 0 and adj2[j][mapping[h]] != mult:
-                    ok = False
                     break
-            if not ok:
-                continue
-            mapping[i] = j
-            used.add(j)
-            if extend(k + 1):
-                return True
-            mapping[i] = -1
-            used.discard(j)
-        return False
-
-    return extend(0)
+            else:
+                mapping[i] = j
+                used.add(j)
+                k += 1
+                break
+        else:
+            tried[k] = 0
+            k -= 1
+    return k == n

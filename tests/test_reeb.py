@@ -10,6 +10,7 @@ from helpers import (
     random_closed_surface,
     split_random_triangles,
     subdivide,
+    with_swapped_endpoint,
 )
 from reebforge.errors import InvalidBarycentric
 from reebforge.fields import ScalarField
@@ -196,6 +197,16 @@ def test_graphs_isomorphic_requires_matching_heights():
     go = compute_reeb(octa, ScalarField([0, 1, 2, 3, 4, 5]))
     assert graphs_isomorphic(g, g)
     assert not graphs_isomorphic(g, go)  # same shape, different heights
+
+
+def test_graphs_isomorphic_on_thousands_of_nodes():
+    # one search depth per node: a recursive search overflowed the stack here
+    c = subdivided_sphere(5)
+    rng = random.Random(0)
+    g = compute_reeb(c, ScalarField([rng.random() for _ in range(c.vertex_count)]))
+    assert len(g.nodes) > 2000
+    assert graphs_isomorphic(g, g)
+    assert not graphs_isomorphic(g, with_swapped_endpoint(g))
 
 
 def test_sweep_matches_oracle_with_ties():
