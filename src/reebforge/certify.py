@@ -250,9 +250,7 @@ def certify_arc_cylindrical(g, c, field, arc_id, slicer=None):
             upper_attached = False
 
     # suffix component counts via reverse incremental union-find over
-    # (run, index) instances; the piece below any cut is always connected.
-    # A run's repeated cuts glue index to index, so one instance per run
-    # gives the count of every suffix starting inside it.
+    # (run, index) instances; the piece below any cut is always connected
     failures = []
     suffix_count = [0] * r
     parent = {}
@@ -276,18 +274,16 @@ def certify_arc_cylindrical(g, c, field, arc_id, slicer=None):
                     count -= 1
         suffix_count[s] = count
 
-    # pieces above a cut: the suffix from the next cut, which is in the same
-    # run for all but the run's last cut
+    # pieces above a cut: the suffix from the next cut on. Within a run this
+    # is the suffix after the run: a run of several cuts ends on a mid cut,
+    # and from a mid cut to the next at cut components only merge, so the
+    # run's instances add nothing to the count of the suffix above them
     for s, (t, n, comps) in enumerate(runs):
-        inner = 1 + suffix_count[s]
-        last = 1 + (suffix_count[s + 1] if s + 1 < r else len(comps))
-        if len(comps) == 1 and last == 2 and (n == 1 or inner == 2):
+        pieces = 1 + (suffix_count[s + 1] if s + 1 < r else len(comps))
+        if len(comps) == 1 and pieces == 2:
             continue
         reps = tuple(sorted(_min_item(comp) for comp in comps))
         for p in range(n):
-            pieces = inner if p < n - 1 else last
-            if len(comps) == 1 and pieces == 2:
-                continue
             value, side = slicer.cut_position(t + p)
             failures.append(
                 CutFailure(value=value, side=side, pieces=pieces, representatives=reps)
