@@ -347,8 +347,9 @@ def certify_node_starlike(g, c, field, node_id, slicer=None):
             stubs=(),
         )
 
-    up_arcs = {a.id: a for a in g.arcs if a.lower == node_id}
-    down_arcs = {a.id: a for a in g.arcs if a.upper == node_id}
+    incident = [g.arcs[aid] for aid in g.node_arcs(node_id)]
+    up_arcs = {a.id: a for a in incident if a.lower == node_id}
+    down_arcs = {a.id: a for a in incident if a.upper == node_id}
 
     stubs = []
     ok = len(pieces) == node.degree
@@ -395,18 +396,17 @@ def certify_node_starlike(g, c, field, node_id, slicer=None):
         step = 1 if direction == "up" else -1
         walked = 1
         while t != t_end:
-            # cuts before the next change repeat cur; count them as walked
+            # the cuts before the next change repeat cur: walked, not searched
             t_next = slicer.next_change(cur, t, step)
             if (t_next - t_end) * step > 0:
                 walked += (t_end - t) * step
                 break
-            walked += (t_next - t) * step - 1
+            walked += (t_next - t) * step
             seeds = []
             for cc in cur:
                 seeds.extend(slicer.advance(cc, t_next - step, step))
             nxt = slicer.components_from(t_next, seeds)
             t = t_next
-            walked += 1
             if len(nxt) != len(cur):
                 value, side = slicer.cut_position(t)
                 flist.append(
