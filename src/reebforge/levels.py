@@ -127,13 +127,14 @@ class LevelSlicer:
     def neighbors(self, item, t):
         """Items adjacent to item at cut t, in a fixed order.
 
-        This is the one adjacency routine: component walks through it.
+        This is the one adjacency routine; component searches through it.
         """
         c = self.c
         vcut, lo, hi = self.vertex_cut, self.edge_lo, self.edge_hi
         kind, i = item
+        is_edge = kind == "e"
         out = []
-        if kind == "e":
+        if is_edge:
             tris = c.edge_triangles(i)
         else:
             cu = vcut[i]
@@ -145,7 +146,6 @@ class LevelSlicer:
                     out.append(("v", w))
             tris = c.vertex_triangles(i)
         triangles, tri_edges = c.triangles, self.tri_edges
-        is_edge = kind == "e"
         for ti in tris:
             for p in triangles[ti]:
                 if vcut[p] == t and (is_edge or p != i):
@@ -214,16 +214,12 @@ class LevelSlicer:
     def next_change(self, comps, t, direction):
         """First cut past t, in the walk's direction, where comps can change.
 
-        comps are whole components at cut t. If one holds a vertex item the
-        answer is t + direction. Otherwise every item is an edge, and the
-        answer is the first at cut where one of them ends: 2 * min(khi)
-        going up, 2 * max(klo) going down. Without any item nothing can
-        change, and the answer is the first cut past the end, cut_count
-        going up or -1 going down. Every cut strictly between t and
-        that cut holds exactly the same components: an edge active at the
-        later cut was active at t too, and a vertex at an intermediate level
-        sharing a triangle with a component edge would put an edge ending at
-        that level into the component.
+        comps are whole components at cut t. If one holds a vertex item, that
+        is t + direction. Otherwise it is the first at cut where one of their
+        edges ends, 2 * min(khi) going up and 2 * max(klo) going down for edge
+        levels klo < khi; every cut before it repeats comps exactly (see the
+        module docstring). Without any item nothing changes again, and the
+        answer lies past the last cut: cut_count going up, -1 going down.
         """
         ends = self.edge_hi if direction > 0 else self.edge_lo
         edge_ends = []
