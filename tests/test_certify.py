@@ -164,7 +164,8 @@ def test_certify_component_walks_stay_linear(monkeypatch):
 
 
 # SHA-256 of certificates_to_json_bytes for (graph, with_swapped_endpoint,
-# without_node) per case, as the cut-by-cut walks wrote them
+# without_node) per case, written by walks that searched every cut, with
+# star-like stubs in the order certify_node_starlike gives them
 FROZEN_CERT_DIGESTS = {
     "sphere": (
         "067bd189523b29e4c3c8b04495966f80bab3df53c6cb2bed128b634c86073671",
@@ -203,8 +204,9 @@ def test_certificate_bytes_frozen():
         )
         assert digests == FROZEN_CERT_DIGESTS[name], name
         assert [cert.ok for cert in certs] == [True, False, False], name
-    # the swapped arc runs past its maximum: every cut above it holds no
-    # component, one run of cuts that fails cut by cut
+    # the swapped realized arc runs past its maximum: every cut above it
+    # holds no component, one run of cuts that fails cut by cut
     cyl = certs[1].cylindrical[0]
+    assert name == "realized"
     empty = [x for x in cyl.failures if x.representatives == ()]
     assert len(empty) > 1 and all(x.pieces == 1 for x in empty)
