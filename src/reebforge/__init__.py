@@ -22,6 +22,7 @@ from .errors import (
     CountMismatch,
     DegenerateSimplex,
     InputError,
+    InternalError,
     InvalidBarycentric,
     ManifoldRequired,
     NonFiniteValue,
@@ -92,6 +93,7 @@ __all__ = [
     "EmbeddingCertificate",
     "GraphCertificate",
     "InputError",
+    "InternalError",
     "InvalidBarycentric",
     "LevelSlicer",
     "ManifoldRequired",

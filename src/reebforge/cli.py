@@ -1,8 +1,10 @@
 """Command-line front end: compute, certify, cross-check and export Reeb graphs.
 
 Exit codes: 0 success, 1 input or usage error, 2 computed fine but a
-certificate (or the oracle cross-check) failed. The stdout summary line is
-"nodes=<N> arcs=<A> b1=<b> loops=<L> components=<C>" per instance.
+certificate (or the oracle cross-check) failed. A failed internal
+consistency check (InternalError) also exits 1, with one
+"error: internal: ..." line on stderr and no traceback. The stdout summary
+line is "nodes=<N> arcs=<A> b1=<b> loops=<L> components=<C>" per instance.
 """
 
 from __future__ import annotations

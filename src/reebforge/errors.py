@@ -31,3 +31,7 @@ class InvalidBarycentric(InputError):
 
 class UnrealizableSpec(InputError):
     """An abstract graph spec violates a realizability constraint."""
+
+
+class InternalError(ReebforgeError):
+    """A consistency check inside reebforge failed: a bug, not bad input. CLI maps this to exit 1."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import CountMismatch, InvalidBarycentric
+from .errors import CountMismatch, InputError, InternalError, InvalidBarycentric
 from .fields import _link_side_components
 from .levels import AT, ContourRef, LevelSlicer
 
@@ -248,7 +248,9 @@ def _freeze_graph(nodes, arcs, vertex_count, vmap=None):
             if x is not None:
                 final_map[u] = node_tag[nperm[x]] if x >= 0 else arc_tag[aperm[~x]]
     if None in final_map:
-        raise RuntimeError("internal: unmapped vertex after sweep")
+        raise InternalError(
+            f"internal: vertex {final_map.index(None)} is on no node or arc after the sweep"
+        )
     return ReebGraph(node_objs, arc_objs, final_map)
 
 
@@ -282,13 +284,22 @@ def _pair_components(pairs):
 def compute_reeb(c, field):
     """Sweep the field in ascending tie-broken order and build the graph.
 
-    Works on any finite complex of dimension <= 2 plus tetrahedra-free
-    inputs; certification (not extraction) is what demands a manifold.
+    Works on any finite complex whose every edge lies in a triangle: closed
+    or bounded surfaces and non-manifold joins of triangles, with or
+    without isolated vertices. A complex with a bare edge raises
+    InputError naming its first one; tetrahedra are read through their
+    triangles. Certification (not extraction) is what demands a manifold.
     Output is deterministic for fixed input.
     """
     if len(field) != c.vertex_count:
         raise CountMismatch(
             f"field has {len(field)} values for {c.vertex_count} vertices"
+        )
+    bare = c.bare_edge_ids
+    if bare:
+        raise InputError(
+            f"edge {c.edges[bare[0]]} lies in no triangle; "
+            "compute_reeb needs every edge in a triangle"
         )
     if c.vertex_count == 0:
         return ReebGraph((), (), ())
@@ -776,8 +787,9 @@ def _sweep(c, field):
 
             if not critical:
                 if len(roots) != 1:
-                    raise RuntimeError(
-                        "internal: regular group with contour merge"
+                    raise InternalError(
+                        f"internal: regular vertices {sorted(verts)} at value {w!r} "
+                        f"meet {len(roots)} contours"
                     )
                 for u in sorted(verts, key=pos.__getitem__):
                     relink_regular(u, pos[u])
@@ -811,7 +823,11 @@ def _sweep(c, field):
         i = j
 
     if arc_of:
-        raise RuntimeError("internal: open arcs after sweep")
+        aid = min(arc_of.values())
+        raise InternalError(
+            f"internal: the arc above vertex {n_verts[a_lower[aid]][0]} "
+            f"is still open after the sweep"
+        )
     return (
         (n_height, n_kind, [vs[0] for vs in n_verts], n_verts),
         (a_lower, a_upper, a_birth, a_death, a_interior, None),
@@ -892,7 +908,10 @@ def quotient_point(g, c, field, simplex, weights):
             for a in g.arcs:
                 if a.lower == idx and ("e", a.birth_edge) in prev:
                     return ("arc", a.id, value)
-            raise RuntimeError("internal: no arc above node on walk")
+            raise InternalError(
+                f"internal: no arc above node {idx} (vertex {at_verts[0]}) "
+                f"holds the contour of the point at value {value!r}"
+            )
         # every cut above the next change repeats comp
         prev = comp
         t_next = slicer.next_change((comp,), cur_t, -1)

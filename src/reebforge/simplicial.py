@@ -77,6 +77,7 @@ class SimplicialComplex:
         "_neighbors",
         "_link_kinds",
         "_boundary_edge_ids",
+        "_bare_edge_ids",
         "_tri_edge_ids",
         "_tri_index",
         "_is_surface",
@@ -164,6 +165,7 @@ class SimplicialComplex:
         self._boundary_edge_ids = frozenset(
             ei for ei, ts in enumerate(self._edge_triangles) if len(ts) == 1
         )
+        self._bare_edge_ids = None
         self._link_kinds = None
         self._tri_index = None
         self._is_surface = None
@@ -201,6 +203,15 @@ class SimplicialComplex:
     @property
     def boundary_edge_ids(self):
         return self._boundary_edge_ids
+
+    @property
+    def bare_edge_ids(self):
+        """Ids of the edges in no triangle, ascending; computed once."""
+        if self._bare_edge_ids is None:
+            self._bare_edge_ids = tuple(
+                ei for ei, ts in enumerate(self._edge_triangles) if not ts
+            )
+        return self._bare_edge_ids
 
     def is_boundary_vertex(self, v):
         return self.link_kind(v) == "path"

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from reebforge import cli
 from reebforge.certify import EmbeddingCertificate, GraphCertificate
+from reebforge.errors import InternalError
 from reebforge.fields import ScalarField, write_field
 from reebforge.gallery import subdivided_sphere
 from reebforge.simplicial import write_off
@@ -105,6 +106,17 @@ def test_oracle_mismatch_exits_2(monkeypatch, capsys):
     rc, stdout, _ = run_cli(["gen", "example1", "--oracle"], capsys)
     assert rc == 2
     assert "oracle-mismatch" in stdout
+
+
+def test_internal_error_exits_1_without_traceback(monkeypatch, capsys):
+    def broken(c, field):
+        raise InternalError("internal: oracle component 0 of cut 3 is regular")
+
+    monkeypatch.setattr(cli, "oracle_reeb", broken)
+    rc, stdout, stderr = run_cli(["gen", "example1", "--oracle"], capsys)
+    assert rc == 1
+    assert stderr == "error: internal: oracle component 0 of cut 3 is regular\n"
+    assert "Traceback" not in stdout + stderr
 
 
 def test_oracle_skip_on_large_input(monkeypatch, capsys):
