@@ -1,5 +1,6 @@
 """Sweep extraction: frozen small cases, quotient map, suppression, fuzzing."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -11,10 +12,21 @@ from helpers import (
     split_random_triangles,
     subdivide,
     with_swapped_endpoint,
+    without_node,
 )
-from reebforge.errors import InvalidBarycentric
+from reebforge.errors import InvalidBarycentric, ReebforgeError
 from reebforge.fields import ScalarField
-from reebforge.gallery import gen_example1, grid_torus, subdivided_sphere
+from reebforge.gallery import (
+    gen_example1,
+    gen_example2,
+    gen_example3,
+    gen_example4,
+    gen_surface_zoo,
+    grid_torus,
+    random_spec,
+    realize,
+    subdivided_sphere,
+)
 from reebforge.oracle import oracle_reeb
 from reebforge.reeb import (
     compute_reeb,
@@ -187,6 +199,83 @@ def test_minimal_structure_keeps_loops_two_noded():
     assert [n.height for n in m.nodes] == [3, 4]
     chains = sorted(a.chain_heights for a in m.arcs)
     assert chains == [(), (2, 1, 0, 1, 2, 3)]
+
+
+def minimal_cases():
+    """(name, graph) pairs for the frozen minimal_structure digests."""
+    rng = random.Random(606)
+    cases = [(f"example1-{n}", compute_reeb(*gen_example1(n))) for n in (3, 50)]
+    cases.append(("example2", compute_reeb(*gen_example2(3))))
+    cases.append(("example3", compute_reeb(*gen_example3(3))))
+    cases.append(("example4", compute_reeb(*gen_example4(2))))
+    # the zoo's column-torus is the 8x8 loop torus of the test above
+    cases += [(name, compute_reeb(c, f)) for name, c, f in gen_surface_zoo()]
+    for k in range(3):
+        cases.append((f"spec-{k}", compute_reeb(*realize(random_spec(rng, max_nodes=10)))))
+    c = subdivided_sphere(3)
+    cases.append(("sphere", compute_reeb(c, ScalarField([rng.random() for _ in range(c.vertex_count)]))))
+    c = grid_torus(6, 6)
+    ties = [Fraction(rng.randrange(4), 3) for _ in range(c.vertex_count)]
+    cases.append(("tie-torus", compute_reeb(c, ScalarField(ties))))
+    graphs = dict(cases)
+    # already minimal, with chain heights on its arcs
+    cases.append(("example1-3-twice", minimal_structure(graphs["example1-3"])))
+    cases.append(("column-torus-twice", minimal_structure(graphs["column-torus"])))
+    # hand-built mutants, out of canonical order
+    for name in ("example1-3", "example4", "tent-torus", "column-torus", "sphere"):
+        cases.append((f"{name}-swapped", with_swapped_endpoint(graphs[name])))
+        cases.append((f"{name}-dropped", without_node(graphs[name])))
+    return cases
+
+
+def minimal_outcome(g):
+    try:
+        m = minimal_structure(g)
+    except ReebforgeError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return repr((m.nodes, m.arcs, m.vertex_map))
+
+
+# sha256 of repr((nodes, arcs, vertex_map)) of minimal_structure, or of the
+# error it raised, per case of minimal_cases()
+FROZEN_MINIMAL_DIGESTS = {
+    "example1-3": "251bf8cdf634c3030bae57c477bc0a2c2a0f908764c79d3194a897062c64de7a",
+    "example1-50": "e6a869f4ea7661c6a4ad1f464b1fb31338a463bbde7544e4cbeb56b6003efff7",
+    "example2": "60a18863c0c61635822cb986002157b0c19ad597a03e7d319b048db53e1a6c3e",
+    "example3": "11b975c7ec852ceaab98983a78b275b2eb77b09379409b6ab7d42382bf956977",
+    "example4": "21a85e9d32afc4895071f4cc423e682cae860ca29bca960957b6da8e2687208f",
+    "tetra": "39da3ef872ab3ee89b51b019848fc5e315fb277c6262b36ceaf961f790cfd66e",
+    "octahedron": "b641d34f224e3602689a52ada35cdcb5735fde247d5656b7b89e7269b21fd320",
+    "tent-torus": "385547c44ff0e5d6e8b3466dfd45e4e3f7c97db00eaf2bb5a7a9c23b6fac05ad",
+    "column-torus": "6f04c522411eb4c7cccb1200a65b9bdcc5d8dce045d82d808f67470047fc65c1",
+    "genus2": "575133048a0f5729729b54b288513290ef1710f515b615d0e3bd781365079876",
+    "cycle-spec": "6d0a71a4b1c5c284d6f04fe4b425644fe91852fa6b5e7aed9cae0b5a95437b7b",
+    "spec-0": "6d0a71a4b1c5c284d6f04fe4b425644fe91852fa6b5e7aed9cae0b5a95437b7b",
+    "spec-1": "7eefbeed88370764ddfcc1abe1ba1fa40e5b378572f0ee9c4fd464eaf050f7c8",
+    "spec-2": "241798c0ae74f1b29d2a3bcfd83d5c0840b2150be03e870dac57fe7a2d998c86",
+    "sphere": "de6d6463ce750263f5b6bd22986e618622b45f9d7d9d0c394cde492bfe559267",
+    "tie-torus": "3a950ef39c2c653b9f31b39feee5056ad4288bfaa364af1582744eb56a76bf9b",
+    "example1-3-twice": "251bf8cdf634c3030bae57c477bc0a2c2a0f908764c79d3194a897062c64de7a",
+    "column-torus-twice": "6f04c522411eb4c7cccb1200a65b9bdcc5d8dce045d82d808f67470047fc65c1",
+    "example1-3-swapped": "dece334461bd284467cee3e58672fec0ab310c68cbc0320f268dad5f343c05b3",
+    "example1-3-dropped": "826d1341ff522354fb3cf32b78aa9552e85122c34001caafed69f5c2c15368ba",
+    "example4-swapped": "4a425006190b166c1462b9e11cebf635acb3f238361f4227f9b569dbd1c3f02a",
+    "example4-dropped": "826d1341ff522354fb3cf32b78aa9552e85122c34001caafed69f5c2c15368ba",
+    "tent-torus-swapped": "82794e25850961a110606352eb3dd5a69f97128666d4876af908a7a619303f33",
+    "tent-torus-dropped": "826d1341ff522354fb3cf32b78aa9552e85122c34001caafed69f5c2c15368ba",
+    "column-torus-swapped": "a451a81bdd935f2350e029762b8446237433a9771576af6ad9002bc54446bed5",
+    "column-torus-dropped": "826d1341ff522354fb3cf32b78aa9552e85122c34001caafed69f5c2c15368ba",
+    "sphere-swapped": "6a50028f8cd7700b649e2dd375d2d5b13acb8b9fe0e8f655e0251350f8ff374a",
+    "sphere-dropped": "e133c9fe5b1974abf3328f316e36c5e883349ae11c989ec48aa1e66cd3987fc0",
+}
+
+
+def test_minimal_structure_frozen():
+    digests = {
+        name: hashlib.sha256(minimal_outcome(g).encode()).hexdigest()
+        for name, g in minimal_cases()
+    }
+    assert digests == FROZEN_MINIMAL_DIGESTS
 
 
 def test_graphs_isomorphic_requires_matching_heights():
