@@ -12,6 +12,7 @@ import json
 import os
 import tempfile
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .fields import format_value
 
@@ -46,9 +47,40 @@ def graph_to_json_dict(g):
     }
 
 
+_JSON_NODE = (
+    '    {\n      "degree": %d,\n      "height": %s,\n      "id": %d,\n'
+    '      "kind": %s,\n      "witness_vertex": %d\n    }'
+)
+_JSON_ARC = '    {\n      "id": %d,\n      "lower": %d,\n      "upper": %d\n    }'
+
+
+def _json_list(items):
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
 def graph_to_json_bytes(g):
-    text = json.dumps(graph_to_json_dict(g), indent=2, sort_keys=True)
-    return (text + "\n").encode("ascii")
+    """graph_to_json_dict(g) as json.dumps(indent=2, sort_keys=True) writes it.
+
+    The fixed schema is written directly: indented json.dumps runs the
+    pure-Python encoder. Strings go through the json module's ASCII
+    escaping, ids and counts are ints.
+    """
+    arcs = [_JSON_ARC % (a.id, a.lower, a.upper) for a in g.arcs]
+    nodes = [
+        _JSON_NODE
+        % (
+            n.degree,
+            encode_basestring_ascii(format_value(n.height)),
+            n.id,
+            encode_basestring_ascii(n.kind),
+            n.witness_vertex,
+        )
+        for n in g.nodes
+    ]
+    text = '{\n  "arcs": %s,\n  "b1": %d,\n  "components": %d,\n  "nodes": %s\n}\n' % (
+        _json_list(arcs), g.b1, g.components, _json_list(nodes),
+    )
+    return text.encode("ascii")
 
 
 def graph_to_dot(g):

@@ -12,8 +12,9 @@ an arc.
 
 The companion operations answer queries about the quotient structure:
 quotient_point maps a barycentric point of the domain to its image,
-minimal_structure suppresses degree-2 nodes where that keeps the graph a
-multigraph, and graphs_isomorphic compares two results up to relabeling.
+minimal_structure suppresses degree-2 nodes in one pass wherever that
+creates no new self-loop (loops already present stay), and
+graphs_isomorphic compares two results up to relabeling.
 """
 
 from __future__ import annotations
@@ -83,13 +84,17 @@ class ReebGraph:
     b1 is the first Betti number arcs - nodes + components.
     """
 
-    __slots__ = ("nodes", "arcs", "vertex_map", "components", "b1", "_incident")
+    __slots__ = (
+        "nodes", "arcs", "vertex_map", "components", "b1", "_incident", "_canonical"
+    )
 
     def __init__(self, nodes, arcs, vertex_map):
         self.nodes = tuple(nodes)
         self.arcs = tuple(arcs)
         self.vertex_map = tuple(vertex_map)
         self._incident = None
+        # set by _freeze_graph: minimal_structure would rebuild the graph as is
+        self._canonical = False
         self.components = self._component_count()
         self.b1 = len(self.arcs) - len(self.nodes) + self.components
 
@@ -159,7 +164,7 @@ def _build_graph(node_rec, arc_rec, vmap):
         [r["height"] for r in node_rec],
         [r["kind"] for r in node_rec],
         [r["witness"] for r in node_rec],
-        [tuple(r["vertices"]) for r in node_rec],
+        [r["vertices"] for r in node_rec],
     )
     arcs = (
         [r["lower"] for r in arc_rec],
@@ -215,7 +220,7 @@ def _freeze_graph(nodes, arcs, vertex_count, vmap=None):
 
     node_objs = []
     for new, old in enumerate(n_order):
-        h, wv, vs = heights[old], witnesses[old], verts[old]
+        h, wv, vs = heights[old], witnesses[old], tuple(verts[old])
         node_objs.append(
             ReebNode(
                 new, h, degree[old], kinds[old], wv, vs,
@@ -251,7 +256,11 @@ def _freeze_graph(nodes, arcs, vertex_count, vmap=None):
         raise InternalError(
             f"internal: vertex {final_map.index(None)} is on no node or arc after the sweep"
         )
-    return ReebGraph(node_objs, arc_objs, final_map)
+    g = ReebGraph(node_objs, arc_objs, final_map)
+    # the vertex map is the one read off nodes and arcs, and each arc goes
+    # up in node order, so it already reads from its lower end to its upper
+    g._canonical = vmap is None and all(x <= y for x, y in zip(lo, hi))
+    return g
 
 
 def _pair_components(pairs):
@@ -924,110 +933,97 @@ def quotient_point(g, c, field, simplex, weights):
 
 
 def minimal_structure(g):
-    """Suppress degree-2 nodes while the result stays a loopless multigraph.
+    """Suppress degree-2 nodes wherever that creates no new self-loop.
 
     A degree-2 node whose two arcs share their other endpoint is kept:
-    removing it would need a self-loop. Suppressed node heights are
-    recorded on the merged arc in order, so monotonicity of the merged
-    height chain remains checkable.
+    removing it would need a self-loop. Loops already in the input stay.
+    Nodes are suppressed greedily in (height, id) order, so on a cycle of
+    degree-2 nodes the last two in (height, witness) order remain. Each
+    merged arc records the absorbed heights from its lower end to its
+    upper, so monotonicity of the merged height chain remains checkable.
+    A computed graph with nothing to suppress is returned unchanged.
     """
-    nodes = {n.id: n for n in g.nodes}
-    recs = {}
-    incident = {nid: [] for nid in nodes}
-    for a in g.arcs:
-        # w0/w1: witness edges for the e0 and e1 ends of the record
-        recs[a.id] = {
-            "e0": a.lower,
-            "e1": a.upper,
-            "chain": list(a.chain_heights),
-            "w0": a.birth_edge,
-            "w1": a.death_edge,
-            "interior": list(a.interior_vertices),
-        }
-        incident[a.lower].append(a.id)
-        incident[a.upper].append(a.id)
+    nodes, arcs = g.nodes, g.arcs
+    # e0/e1: the ends of each arc record; first/last: its original arcs there
+    e0 = [a.lower for a in arcs]
+    e1 = [a.upper for a in arcs]
+    first = list(range(len(arcs)))
+    last = first[:]
+    incident = [[] for _ in nodes]
+    for k, (x, y) in enumerate(zip(e0, e1)):
+        incident[x].append(k)
+        incident[y].append(k)
+    # sides[x]: the records on either side of a loopless degree-2 node x;
+    # its merged record keeps the id of the first
+    sides = [p[:] if len(p) == 2 and p[0] != p[1] else None for p in incident]
+    gone = [False] * len(nodes)
+    # suppression never makes another node suppressible, so one pass in
+    # (height, id) order suppresses what a rescan after each one would
+    order = [x for x, p in enumerate(sides) if p]
+    for x in sorted(order, key=lambda x: nodes[x].height):
+        ka, kb = sides[x]
+        oa = e1[ka] if e0[ka] == x else e0[ka]
+        ob = e1[kb] if e0[kb] == x else e0[kb]
+        if oa == ob:
+            continue
+        gone[x] = True
+        fa = first[ka] if e0[ka] == oa else last[ka]
+        lb = last[kb] if e1[kb] == ob else first[kb]
+        e0[ka], e1[ka], first[ka], last[ka] = oa, ob, fa, lb
+        e0[kb] = None
+        if sides[ob]:
+            sides[ob][sides[ob][1] == kb] = ka
+    if g._canonical and True not in gone:
+        return g
 
-    def oriented(rec, start):
-        # chain, interior, and end witnesses read from the given endpoint
-        if rec["e0"] == start:
-            return rec["chain"], rec["interior"], rec["w0"], rec["w1"]
-        return rec["chain"][::-1], rec["interior"][::-1], rec["w1"], rec["w0"]
+    kept = [x for x, out in enumerate(gone) if not out]
+    new_id = {x: k for k, x in enumerate(kept)}
+    key = [(n.height, n.witness_vertex) for n in nodes]
+    columns = ([], [], [], [], [], [])
+    for k, node in enumerate(e0):
+        if node is None:
+            continue
+        # read the record from its lower end, or from e0 on equal keys
+        arc = first[k]
+        if key[e1[k]] < key[node]:
+            node, arc = e1[k], last[k]
+        lower, a = node, arcs[arc]
+        w0 = a.birth_edge if a.lower == node else a.death_edge
+        chain, interior = [], []
+        while True:
+            a = arcs[arc]
+            up = 1 if a.lower == node else -1
+            node, w1 = (a.upper, a.death_edge) if up > 0 else (a.lower, a.birth_edge)
+            chain += a.chain_heights[::up]
+            interior += a.interior_vertices[::up]
+            if not gone[node]:
+                break
+            # a node's vertices run forward from the side its record kept
+            p, q = incident[node]
+            chain.append(nodes[node].height)
+            interior += nodes[node].vertices[:: 1 if arc == p else -1]
+            arc = q if arc == p else p
+        record = (new_id[lower], new_id[node], w0, w1, interior, chain)
+        for col, v in zip(columns, record):
+            col.append(v)
 
-    changed = True
-    while changed:
-        changed = False
-        for nid in sorted(incident, key=lambda i: (nodes[i].height, i)):
-            inc = incident[nid]
-            if len(inc) != 2 or inc[0] == inc[1]:
-                continue
-            ra, rb = recs[inc[0]], recs[inc[1]]
-            oa = ra["e1"] if ra["e0"] == nid else ra["e0"]
-            ob = rb["e1"] if rb["e0"] == nid else rb["e0"]
-            if oa == ob or oa == nid or ob == nid:
-                continue
-            ca, ia, wa, _ = oriented(ra, oa)
-            cb, ib, _, wb = oriented(rb, nid)
-            keep, drop = inc[0], inc[1]
-            recs[keep] = {
-                "e0": oa,
-                "e1": ob,
-                "chain": ca + [nodes[nid].height] + cb,
-                "w0": wa,
-                "w1": wb,
-                "interior": ia + list(nodes[nid].vertices) + ib,
-            }
-            del recs[drop]
-            del incident[nid]
-            del nodes[nid]
-            incident[ob] = [keep if x == drop else x for x in incident[ob]]
-            changed = True
-            break
-
-    kept = sorted(nodes)
-    tmp_of = {nid: k for k, nid in enumerate(kept)}
-    node_rec = [
-        {
-            "height": nodes[nid].height,
-            "kind": nodes[nid].kind,
-            "witness": nodes[nid].witness_vertex,
-            "vertices": nodes[nid].vertices,
-        }
-        for nid in kept
-    ]
-    arc_rec = []
-    arc_tmp = {}
-    for aid in sorted(recs):
-        r = recs[aid]
-        e0, e1 = r["e0"], r["e1"]
-        chain, interior = r["chain"], r["interior"]
-        w0, w1 = r["w0"], r["w1"]
-        k0 = (nodes[e0].height, nodes[e0].witness_vertex)
-        k1 = (nodes[e1].height, nodes[e1].witness_vertex)
-        if k1 < k0:
-            e0, e1 = e1, e0
-            chain = chain[::-1]
-            interior = interior[::-1]
-            w0, w1 = w1, w0
-        arc_tmp[aid] = len(arc_rec)
-        arc_rec.append(
-            {
-                "lower": tmp_of[e0],
-                "upper": tmp_of[e1],
-                "birth": w0,
-                "death": w1,
-                "interior": interior,
-                "chain": chain,
-            }
-        )
-
+    # an abstract graph, with an empty vertex map, keeps an empty one
     vmap = [None] * len(g.vertex_map)
-    for nid in kept:
-        for u in nodes[nid].vertices:
-            vmap[u] = ("node", tmp_of[nid])
-    for aid, rec_idx in arc_tmp.items():
-        for u in arc_rec[rec_idx]["interior"]:
-            vmap[u] = ("arc", rec_idx)
-    return _build_graph(node_rec, arc_rec, vmap)
+    if vmap:
+        for k, x in enumerate(kept):
+            for u in nodes[x].vertices:
+                vmap[u] = k
+        for k, interior in enumerate(columns[4]):
+            for u in interior:
+                vmap[u] = ~k
+    kept = [nodes[x] for x in kept]
+    node_columns = (
+        [n.height for n in kept],
+        [n.kind for n in kept],
+        [n.witness_vertex for n in kept],
+        [n.vertices for n in kept],
+    )
+    return _freeze_graph(node_columns, columns, len(vmap), vmap)
 
 
 # -- isomorphism -------------------------------------------------------------

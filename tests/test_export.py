@@ -1,7 +1,9 @@
 """JSON/DOT serialization and atomic file writes."""
 
+import dataclasses
 import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,9 +23,10 @@ from reebforge.export import (
     write_json,
     write_text_atomic,
 )
+from helpers import spec_to_graph
 from reebforge.fields import ScalarField
-from reebforge.gallery import gen_example4
-from reebforge.reeb import compute_reeb, minimal_structure
+from reebforge.gallery import gen_example4, random_spec, subdivided_sphere
+from reebforge.reeb import ReebGraph, compute_reeb, minimal_structure
 from reebforge.simplicial import build_complex
 
 
@@ -57,6 +60,34 @@ def test_json_bytes_stable():
     assert json.loads(text)["b1"] == 0
     # key order inside the bytes is sorted, not insertion order
     assert text.index('"arcs"') < text.index('"b1"') < text.index('"nodes"')
+
+
+def test_json_bytes_match_indented_json_dumps():
+    # three disjoint tetrahedra: a node at the lowest and highest value of each
+    tetras = [
+        (a + k, b + k, d + k)
+        for k in (0, 4, 8)
+        for a, b, d in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+    ]
+    floats = [-2.5, -1.0, -0.5, -0.0, 1e-20, 0.01, 0.05, 0.1, 0.2, 1.5, 3.0, 1e300]
+    ints = compute_reeb(build_complex(tetras[:4]), ScalarField([0, 1, 2, 3]))
+    c = subdivided_sphere(3)
+    rng = random.Random(8)
+    sphere = compute_reeb(c, ScalarField([rng.random() for _ in range(c.vertex_count)]))
+    odd = dataclasses.replace(ints.nodes[0], kind='qu"ote\\ \u00e9\n')
+    graphs = [
+        ReebGraph((), (), ()),
+        compute_reeb(*tetra()),
+        ints,
+        compute_reeb(build_complex(tetras), ScalarField(floats)),
+        spec_to_graph(random_spec(rng, max_nodes=12)),
+        sphere,
+        ReebGraph((odd,) + ints.nodes[1:], ints.arcs, ints.vertex_map),
+    ]
+    assert [n.height for n in graphs[3].nodes] == [-2.5, -0.0, 1e-20, 0.1, 0.2, 1e300]
+    for g in graphs:
+        text = json.dumps(graph_to_json_dict(g), indent=2, sort_keys=True) + "\n"
+        assert graph_to_json_bytes(g) == text.encode("ascii")
 
 
 def test_dot_rendering():

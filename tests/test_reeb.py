@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from helpers import (
     distinct_random_field,
     random_closed_surface,
+    spec_to_graph,
     split_random_triangles,
     subdivide,
     with_swapped_endpoint,
@@ -17,6 +19,7 @@ from helpers import (
 from reebforge.errors import InvalidBarycentric, ReebforgeError
 from reebforge.fields import ScalarField
 from reebforge.gallery import (
+    AbstractReebSpec,
     gen_example1,
     gen_example2,
     gen_example3,
@@ -29,6 +32,11 @@ from reebforge.gallery import (
 )
 from reebforge.oracle import oracle_reeb
 from reebforge.reeb import (
+    ReebArc,
+    ReebGraph,
+    ReebNode,
+    _build_graph,
+    _freeze_graph,
     compute_reeb,
     graphs_isomorphic,
     minimal_structure,
@@ -276,6 +284,187 @@ def test_minimal_structure_frozen():
         for name, g in minimal_cases()
     }
     assert digests == FROZEN_MINIMAL_DIGESTS
+
+
+def test_minimal_structure_returns_minimal_graphs_unchanged():
+    c = subdivided_sphere(3)
+    rng = random.Random(2)
+    g = compute_reeb(c, ScalarField([rng.random() for _ in range(c.vertex_count)]))
+    assert minimal_structure(g) is g
+    # stale degrees: not what _freeze_graph would build, so it is rebuilt
+    swapped = with_swapped_endpoint(g)
+    assert minimal_structure(swapped) is not swapped
+
+
+def reference_minimal_structure(g):
+    """The rescan-after-every-suppression algorithm minimal_structure replaced."""
+    nodes = {n.id: n for n in g.nodes}
+    recs = {}
+    incident = {nid: [] for nid in nodes}
+    for a in g.arcs:
+        recs[a.id] = {
+            "e0": a.lower,
+            "e1": a.upper,
+            "chain": list(a.chain_heights),
+            "w0": a.birth_edge,
+            "w1": a.death_edge,
+            "interior": list(a.interior_vertices),
+        }
+        incident[a.lower].append(a.id)
+        incident[a.upper].append(a.id)
+
+    def oriented(rec, start):
+        if rec["e0"] == start:
+            return rec["chain"], rec["interior"], rec["w0"], rec["w1"]
+        return rec["chain"][::-1], rec["interior"][::-1], rec["w1"], rec["w0"]
+
+    changed = True
+    while changed:
+        changed = False
+        for nid in sorted(incident, key=lambda i: (nodes[i].height, i)):
+            inc = incident[nid]
+            if len(inc) != 2 or inc[0] == inc[1]:
+                continue
+            ra, rb = recs[inc[0]], recs[inc[1]]
+            oa = ra["e1"] if ra["e0"] == nid else ra["e0"]
+            ob = rb["e1"] if rb["e0"] == nid else rb["e0"]
+            if oa == ob:
+                continue
+            ca, ia, wa, _ = oriented(ra, oa)
+            cb, ib, _, wb = oriented(rb, nid)
+            keep, drop = inc[0], inc[1]
+            recs[keep] = {
+                "e0": oa,
+                "e1": ob,
+                "chain": ca + [nodes[nid].height] + cb,
+                "w0": wa,
+                "w1": wb,
+                "interior": ia + list(nodes[nid].vertices) + ib,
+            }
+            del recs[drop], incident[nid], nodes[nid]
+            incident[ob] = [keep if x == drop else x for x in incident[ob]]
+            changed = True
+            break
+
+    kept = sorted(nodes)
+    tmp_of = {nid: k for k, nid in enumerate(kept)}
+    node_rec = [
+        {
+            "height": nodes[nid].height,
+            "kind": nodes[nid].kind,
+            "witness": nodes[nid].witness_vertex,
+            "vertices": nodes[nid].vertices,
+        }
+        for nid in kept
+    ]
+    arc_rec = []
+    for aid in sorted(recs):
+        r = recs[aid]
+        e0, e1, chain, interior, w0, w1 = (
+            r["e0"], r["e1"], r["chain"], r["interior"], r["w0"], r["w1"]
+        )
+        if (nodes[e1].height, nodes[e1].witness_vertex) < (
+            nodes[e0].height, nodes[e0].witness_vertex
+        ):
+            e0, e1, chain, interior, w0, w1 = e1, e0, chain[::-1], interior[::-1], w1, w0
+        arc_rec.append(
+            {"lower": tmp_of[e0], "upper": tmp_of[e1], "birth": w0, "death": w1,
+             "interior": interior, "chain": chain}
+        )
+    vmap = [None] * len(g.vertex_map)
+    for nid in kept:
+        for u in nodes[nid].vertices:
+            vmap[u] = ("node", tmp_of[nid])
+    for k, r in enumerate(arc_rec):
+        for u in r["interior"]:
+            vmap[u] = ("arc", k)
+    return _build_graph(node_rec, arc_rec, vmap)
+
+
+def random_hand_built_graph(rng):
+    """Chains, pure cycles, loops and parallel arcs, listed and oriented at
+    random, with tied heights, witnesses and birth edges."""
+    n = rng.randrange(1, 6)
+    ends = []
+    for _ in range(rng.randrange(8)):
+        k = rng.choice((0, 1, 2, 4))
+        path = [rng.randrange(n), *range(n, n + k), rng.randrange(n)]
+        ends += zip(path, path[1:])
+        n += k
+    for _ in range(rng.randrange(3)):
+        cycle = list(range(n, n + rng.randrange(1, 6)))
+        ends += zip(cycle, cycle[1:] + cycle[:1])
+        n += len(cycle)
+    rng.shuffle(ends)
+    heights = [Fraction(rng.randrange(6), rng.choice((1, 2))) for _ in range(n)]
+    nodes, arcs, vmap, top = [], [], [], 0
+    degree = [0] * n
+    for x, y in ends:
+        degree[x] += 1
+        degree[y] += 1
+    for i, h in enumerate(heights):
+        vs = tuple(range(top, top + rng.randrange(1, 3)))[:: rng.choice((1, -1))]
+        top += len(vs)
+        nodes.append(ReebNode(i, h, degree[i], "flat-cluster", rng.randrange(3), vs, None))
+        vmap += [("node", i)] * len(vs)
+    for k, (x, y) in enumerate(ends):
+        if rng.random() < 0.5:
+            x, y = y, x
+        inner = tuple(range(top, top + rng.randrange(3)))
+        top += len(inner)
+        chain = tuple(rng.randrange(5) for _ in range(rng.choice((0, 0, 2))))
+        arcs.append(ReebArc(k, x, y, rng.randrange(3), rng.randrange(9), inner, chain))
+        vmap += [("arc", k)] * len(inner)
+    return ReebGraph(nodes, arcs, vmap)
+
+
+def refrozen(g):
+    """g's own records through _freeze_graph: canonical order, derived vertex map."""
+    nodes = [
+        [getattr(n, f) for n in g.nodes]
+        for f in ("height", "kind", "witness_vertex", "vertices")
+    ]
+    arcs = [
+        [getattr(a, f) for a in g.arcs]
+        for f in ("lower", "upper", "birth_edge", "death_edge", "interior_vertices", "chain_heights")
+    ]
+    return _freeze_graph(nodes, arcs, len(g.vertex_map))
+
+
+def test_minimal_structure_matches_the_rescanning_reference():
+    rng = random.Random(31)
+    for trial in range(400):
+        g = random_hand_built_graph(rng)
+        # refrozen, it is returned as is when nothing is suppressed and every
+        # arc goes up in node order
+        for h in (g, refrozen(g)):
+            got, want = minimal_structure(h), reference_minimal_structure(h)
+            assert repr((got.nodes, got.arcs, got.vertex_map)) == repr(
+                (want.nodes, want.arcs, want.vertex_map)
+            ), trial
+
+
+def path_arcs(n):
+    return tuple((i, i + 1) for i in range(n - 1))
+
+
+def test_minimal_structure_is_linear_on_long_chains():
+    n = 10_000
+    heights = tuple(Fraction(i) for i in range(n))
+    path = spec_to_graph(AbstractReebSpec(heights, path_arcs(n)))
+    cycle = spec_to_graph(AbstractReebSpec(heights, ((0, n - 1),) + path_arcs(n)))
+    t0 = time.perf_counter()
+    m = minimal_structure(path)
+    t1 = time.perf_counter()
+    assert [x.height for x in m.nodes] == [0, n - 1]
+    assert [a.chain_heights for a in m.arcs] == [heights[1:-1]]
+    assert m.vertex_map == ()
+    # on a pure cycle the last two nodes in height order remain
+    m = minimal_structure(cycle)
+    t2 = time.perf_counter()
+    assert [x.height for x in m.nodes] == [n - 2, n - 1]
+    assert sorted(a.chain_heights for a in m.arcs) == [(), heights[n - 3::-1]]
+    assert t1 - t0 < 2 and t2 - t1 < 2, (t1 - t0, t2 - t1)
 
 
 def test_graphs_isomorphic_requires_matching_heights():
