@@ -59,11 +59,12 @@ def _json_list(items):
 
 
 def graph_to_json_bytes(g):
-    """graph_to_json_dict(g) as json.dumps(indent=2, sort_keys=True) writes it.
+    """The bytes of json.dumps(graph_to_json_dict(g), indent=2, sort_keys=True)
+    plus a newline.
 
-    The fixed schema is written directly: indented json.dumps runs the
-    pure-Python encoder. Strings go through the json module's ASCII
-    escaping, ids and counts are ints.
+    The fixed schema is written directly, because indented json.dumps runs
+    the pure-Python encoder. Strings go through the json module's ASCII
+    escaping; ids and counts are ints.
     """
     arcs = [_JSON_ARC % (a.id, a.lower, a.upper) for a in g.arcs]
     nodes = [
