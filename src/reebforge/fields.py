@@ -2,8 +2,11 @@
 
 Values may repeat; a tiebreak permutation makes the induced vertex order
 total, so every combinatorial question ("is this neighbor below?") has one
-answer. Level sets and contours are still driven by raw values; the tie
-order only resolves classifications at shared values.
+answer. Which level-set components exist depends only on that order: the
+sweep and classify_vertices sort the vertices once, then compare positions
+in the sorted order. Values are compared again only to find equal ones
+(flat clusters, the sweep's runs of one value) and come back unchanged as
+node heights.
 """
 
 from __future__ import annotations
@@ -135,30 +138,65 @@ class CriticalityReport:
         return total
 
 
-def _link_side_components(c, field, v, side_below):
-    # count components of the lower (or upper) link in the tie-broken order
-    kv = field.key(v)
-    members = [
-        w for w in c.neighbors(v) if (field.key(w) < kv) == side_below and w != v
-    ]
-    if not members:
-        return 0
-    idx = {w: i for i, w in enumerate(members)}
-    parent = list(range(len(members)))
+def _sweep_order(field):
+    """Vertices sorted by field.key, and each vertex's position in that order.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    Two stable sorts, by tiebreak and then by value, build the order
+    without key tuples.
+    """
+    order = sorted(range(len(field)), key=field.tiebreak.__getitem__)
+    order.sort(key=field.values.__getitem__)
+    pos = [0] * len(order)
+    for i, v in enumerate(order):
+        pos[v] = i
+    return order, pos
 
-    for ti in c.vertex_triangles(v):
-        w, x = [p for p in c.triangles[ti] if p != v]
-        if w in idx and x in idx:
-            rw, rx = find(idx[w]), find(idx[x])
-            if rw != rx:
-                parent[rw] = rx
-    return len({find(i) for i in range(len(members))})
+
+def _link_class(c, pos, v, maybe_boundary):
+    """(class, multiplicity) of v from its lower and upper link components
+    in the order given by pos. The class is "minimum", "maximum",
+    "regular", "saddle" or "boundary-critical"; the last needs a path link,
+    looked up only when maybe_boundary is true.
+    """
+    pv = pos[v]
+    nbrs = c._neighbors[v]
+    lower = sum(1 for w in nbrs if pos[w] < pv)
+    upper = len(nbrs) - lower
+    # link edges joining two neighbours on one side merge their components
+    parent = {}
+    tris = c.triangles
+    for ti in c._vertex_triangles[v]:
+        a, b, t = tris[ti]
+        w, x = (b, t) if a == v else ((a, t) if b == v else (a, b))
+        below = pos[w] < pv
+        if below != (pos[x] < pv):
+            continue
+        # path splitting: each step points the vertex at its grandparent
+        while w in parent:
+            up = parent[w]
+            parent[w] = parent.get(up, up)
+            w = up
+        while x in parent:
+            up = parent[x]
+            parent[x] = parent.get(up, up)
+            x = up
+        if w != x:
+            parent[w] = x
+            if below:
+                lower -= 1
+            else:
+                upper -= 1
+    if lower == 0:
+        return "minimum", 0
+    if upper == 0:
+        return "maximum", 0
+    if lower == 1 and upper == 1:
+        return "regular", 0
+    if maybe_boundary and c.link_kind(v) == "path":
+        b0, b1 = c.boundary_link_ends(v)
+        if (pos[b0] < pv) == (pos[b1] < pv):
+            return "boundary-critical", 0
+    return "saddle", max(lower, upper) - 1
 
 
 def classify_vertices(c, field):
@@ -173,35 +211,16 @@ def classify_vertices(c, field):
     if not c.is_surface:
         raise ManifoldRequired("classification requires a surface complex")
 
+    _, pos = _sweep_order(field)
     classes = []
     mult = []
     flat = []
     for v in range(c.vertex_count):
         val = field.values[v]
-        is_flat = any(field.values[w] == val for w in c.neighbors(v))
-        flat.append(is_flat)
-        lower = _link_side_components(c, field, v, True)
-        upper = _link_side_components(c, field, v, False)
-        if lower == 0:
-            classes.append("minimum")
-            mult.append(0)
-        elif upper == 0:
-            classes.append("maximum")
-            mult.append(0)
-        elif lower == 1 and upper == 1:
-            classes.append("regular")
-            mult.append(0)
-        else:
-            if c.link_kind(v) == "path":
-                b0, b1 = c.boundary_link_ends(v)
-                kv = field.key(v)
-                same_side = (field.key(b0) < kv) == (field.key(b1) < kv)
-                if same_side:
-                    classes.append("boundary-critical")
-                    mult.append(0)
-                    continue
-            classes.append("saddle")
-            mult.append(max(lower, upper) - 1)
+        flat.append(any(field.values[w] == val for w in c.neighbors(v)))
+        cls, m = _link_class(c, pos, v, True)
+        classes.append(cls)
+        mult.append(m)
 
     clusters = []
     seen = set()

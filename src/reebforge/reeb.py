@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import CountMismatch, InputError, InternalError, InvalidBarycentric
-from .fields import _link_side_components
+from .fields import _link_class, _sweep_order
 from .levels import AT, ContourRef, LevelSlicer
 
 __all__ = [
@@ -178,10 +178,12 @@ def _build_graph(node_rec, arc_rec, vmap):
         None if entry is None else (entry[1] if entry[0] == "node" else ~entry[1])
         for entry in vmap
     ]
-    return _freeze_graph(nodes, arcs, len(flat), flat)
+    return _freeze_graph(
+        nodes, arcs, len(flat), flat, where="in the records given to _build_graph"
+    )
 
 
-def _freeze_graph(nodes, arcs, vertex_count, vmap=None):
+def _freeze_graph(nodes, arcs, vertex_count, vmap=None, *, where):
     """Renumber raw sweep records deterministically and freeze the graph.
 
     nodes holds parallel lists (heights, kinds, witnesses, vertex tuples);
@@ -189,7 +191,9 @@ def _freeze_graph(nodes, arcs, vertex_count, vmap=None):
     chains may be None when no arc has one. vmap gives each mesh vertex its
     provisional node id, or ~id for an arc; without it, each vertex is
     read off the node vertices and arc interiors. Nodes are ordered by
-    (height, witness vertex), arcs by (lower, upper, birth edge).
+    (height, witness vertex), arcs by (lower, upper, birth edge). where
+    says whose records these are, for the InternalError raised when they
+    leave a vertex on no node or arc.
     """
     heights, kinds, witnesses, verts = nodes
     lowers, uppers, births, deaths, interiors, chains = arcs
@@ -254,7 +258,7 @@ def _freeze_graph(nodes, arcs, vertex_count, vmap=None):
                 final_map[u] = node_tag[nperm[x]] if x >= 0 else arc_tag[aperm[~x]]
     if None in final_map:
         raise InternalError(
-            f"internal: vertex {final_map.index(None)} is on no node or arc after the sweep"
+            f"internal: vertex {final_map.index(None)} is on no node or arc {where}"
         )
     g = ReebGraph(node_objs, arc_objs, final_map)
     # the vertex map is the one read off nodes and arcs, and each arc goes
@@ -298,7 +302,9 @@ def compute_reeb(c, field):
     without isolated vertices. A complex with a bare edge raises
     InputError naming its first one; tetrahedra are read through their
     triangles. Certification (not extraction) is what demands a manifold.
-    Output is deterministic for fixed input.
+    Output is deterministic for fixed input, and depends on the values
+    only through their order and as node heights: ints, floats and
+    Fractions that sort alike give the same nodes, arcs and vertex map.
     """
     if len(field) != c.vertex_count:
         raise CountMismatch(
@@ -314,11 +320,17 @@ def compute_reeb(c, field):
         return ReebGraph((), (), ())
     # the sweep's working state is freed before the graph is built
     nodes, arcs = _sweep(c, field)
-    return _freeze_graph(nodes, arcs, c.vertex_count)
+    return _freeze_graph(nodes, arcs, c.vertex_count, where="after the sweep")
 
 
 def _sweep(c, field):
-    """Raw node and arc records of the sweep, in the form _freeze_graph takes."""
+    """Raw node and arc records of the sweep, in the form _freeze_graph takes.
+
+    Values are compared only to sort the vertices once, to find the runs of
+    equal values in that order, and to emit node heights. Every later test
+    (below, at or above a level, flat edge, link sides) compares sweep
+    positions.
+    """
     nverts = c.vertex_count
     vals = field.values
     edges = c.edges
@@ -333,12 +345,7 @@ def _sweep(c, field):
         boundary_vertex[a] = 1
         boundary_vertex[b] = 1
 
-    # the order of field.key, (value, tiebreak), by two stable sorts
-    order = sorted(range(nverts), key=field.tiebreak.__getitem__)
-    order.sort(key=vals.__getitem__)
-    pos = [0] * nverts
-    for i, v in enumerate(order):
-        pos[v] = i
+    order, pos = _sweep_order(field)
 
     # edge e spans the sweep positions elo[e] < ehi[e]; it crosses the cut
     # after position t when elo[e] <= t < ehi[e]
@@ -652,44 +659,30 @@ def _sweep(c, field):
                 ends.append((f, flank_tri[f], g))
         emit_node(w, (u,), "saddle-like", deaths, strands, pu, ends)
 
-    def process_event(batch, cutpos, w):
-        # group the batch by at-level connectivity, then emit one node or
-        # one regular splice per group
-        guf = {}
-
-        def gfind(x):
-            while guf[x] != x:
-                guf[x] = guf[guf[x]]
-                x = guf[x]
-            return x
-
-        def gmerge(x, y):
-            rx, ry = gfind(x), gfind(y)
-            if rx != ry:
-                guf[ry] = rx
-
-        for u in batch:
-            guf.setdefault(("v", u), ("v", u))
-
+    def process_event(i, j, w):
+        # the batch order[i:j] holds the vertices at value w: x is at the
+        # level when i <= pos[x] < j and below it when pos[x] < i. links
+        # join batch vertices u and incoming contour roots r, as nverts + r,
+        # into groups by at-level connectivity; each group gets one node or
+        # one regular splice
+        batch = order[i:j]
+        cutpos = j - 1
+        links = [(u, u) for u in batch]
         deaths = {}
         flat_here = {u: False for u in batch}
         for u in batch:
-            ku = ("v", u)
             pu = pos[u]
             for e in vedges[u]:
-                a, b = edges[e]
-                if ehi[e] != pu or vals[a] == vals[b]:
+                if ehi[e] != pu or elo[e] >= i:
                     continue  # keep the edges up to u from lower values
                 r = find(ovr[e])
-                kr = ("c", r)
-                guf.setdefault(kr, kr)
-                gmerge(ku, kr)
+                links.append((u, nverts + r))
                 if r not in deaths or e < deaths[r]:
                     deaths[r] = e
             for x in c._neighbors[u]:
-                if vals[x] == w:
+                if i <= pos[x] < j:
                     flat_here[u] = True
-                    gmerge(ku, ("v", x))
+                    links.append((u, x))
 
         seen_t = set()
         batch_tris = []
@@ -707,9 +700,10 @@ def _sweep(c, field):
         for ti in batch_tris:
             a, b, t2 = tris[ti]
             e_ab, e_at, e_bt = tri_edges[ti]
-            sa = 0 if vals[a] == w else (-1 if vals[a] < w else 1)
-            sb = 0 if vals[b] == w else (-1 if vals[b] < w else 1)
-            st = 0 if vals[t2] == w else (-1 if vals[t2] < w else 1)
+            # -1, 0 or 1: below, at or above the level
+            sa = (pos[a] >= j) - (pos[a] < i)
+            sb = (pos[b] >= j) - (pos[b] < i)
+            st = (pos[t2] >= j) - (pos[t2] < i)
             zeros = (sa == 0) + (sb == 0) + (st == 0)
             if zeros == 3:
                 continue
@@ -744,60 +738,36 @@ def _sweep(c, field):
                 # one below, one above: the opposite edge crosses the level
                 spoke = s1 if so1 > 0 else s2
                 r = find(ovr[flk])
-                kr = ("c", r)
-                guf.setdefault(kr, kr)
-                gmerge(("v", u), kr)
+                links.append((u, nverts + r))
                 if r not in deaths or flk < deaths[r]:
                     deaths[r] = flk
                 owner.setdefault(spoke, u)
                 pairs.append((spoke, flk))
 
-        groups = {}
-        for key in guf:
-            g = groups.setdefault(gfind(key), {"verts": [], "roots": set()})
-            if key[0] == "v":
-                g["verts"].append(key[1])
-            else:
-                g["roots"].add(key[1])
-
-        strands_of = {}
+        # every group holds a vertex, so groups come in order of their
+        # smallest vertex, and each lists its vertices before its roots
+        groups = _pair_components(links)
+        group_of = {}
+        for k, items in enumerate(groups):
+            for x in items:
+                group_of[x] = k
+        strands_of = [[] for _ in groups]
         for items in _pair_components(pairs):
             anchor = next(owner[e] for e in items if e in owner)
-            strands_of.setdefault(gfind(("v", anchor)), []).append(items)
+            strands_of[group_of[anchor]].append(items)
 
-        for gkey in sorted(groups, key=lambda k: min(groups[k]["verts"])):
-            g = groups[gkey]
-            verts = sorted(g["verts"])
-            roots = g["roots"]
-            strands = strands_of.get(gkey, [])
-
-            classes = []
-            critical = False
-            for u in verts:
-                if flat_here[u]:
-                    classes.append("flat")
-                    critical = True
-                    continue
-                low = _link_side_components(c, field, u, True)
-                upz = _link_side_components(c, field, u, False)
-                if low == 0 or upz == 0:
-                    classes.append("extremum")
-                    critical = True
-                elif low == 1 and upz == 1:
-                    classes.append("regular")
-                else:
-                    cls = "saddle"
-                    if boundary_vertex[u] and c.link_kind(u) == "path":
-                        b0, b1 = c.boundary_link_ends(u)
-                        if (pos[b0] < pos[u]) == (pos[b1] < pos[u]):
-                            cls = "boundary"
-                    classes.append(cls)
-                    critical = True
-
-            if not critical:
+        for items, strands in zip(groups, strands_of):
+            verts = [x for x in items if x < nverts]
+            roots = [x - nverts for x in items if x >= nverts]
+            classes = {
+                _link_class(c, pos, u, boundary_vertex[u])[0]
+                if not flat_here[u] else "flat"
+                for u in verts
+            }
+            if classes == {"regular"}:
                 if len(roots) != 1:
                     raise InternalError(
-                        f"internal: regular vertices {sorted(verts)} at value {w!r} "
+                        f"internal: regular vertices {verts} at value {w!r} "
                         f"meet {len(roots)} contours"
                     )
                 for u in sorted(verts, key=pos.__getitem__):
@@ -808,7 +778,7 @@ def _sweep(c, field):
                 kind = "flat-cluster"
             elif "saddle" in classes:
                 kind = "saddle-like"
-            elif "extremum" in classes:
+            elif "minimum" in classes or "maximum" in classes:
                 kind = "extremum"
             else:
                 kind = "boundary"
@@ -824,7 +794,7 @@ def _sweep(c, field):
         while j < nverts and vals[order[j]] == w:
             j += 1
         if j > i + 1 or not surface or boundary_vertex[u]:
-            process_event(order[i:j], j - 1, w)
+            process_event(i, j, w)
         elif mixed[u] == 2:
             relink_regular(u, i)
         else:
@@ -944,6 +914,10 @@ def minimal_structure(g):
     A computed graph with nothing to suppress is returned unchanged.
     """
     nodes, arcs = g.nodes, g.arcs
+    # a canonical graph's degrees are exact: with no degree-2 node it is
+    # minimal already
+    if g._canonical and all(n.degree != 2 for n in nodes):
+        return g
     # e0/e1: the ends of each arc record; first/last: its original arcs there
     e0 = [a.lower for a in arcs]
     e1 = [a.upper for a in arcs]
@@ -1023,7 +997,10 @@ def minimal_structure(g):
         [n.witness_vertex for n in kept],
         [n.vertices for n in kept],
     )
-    return _freeze_graph(node_columns, columns, len(vmap), vmap)
+    return _freeze_graph(
+        node_columns, columns, len(vmap), vmap,
+        where="in the graph given to minimal_structure",
+    )
 
 
 # -- isomorphism -------------------------------------------------------------

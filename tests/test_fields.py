@@ -1,10 +1,12 @@
 """Field values, tie order, criticality reports, and field files."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from helpers import random_closed_surface
 from reebforge.errors import (
     CountMismatch,
     InputError,
@@ -82,6 +84,66 @@ def test_flat_cluster_count_tracks_generator_parameter():
     for k in (1, 3, 5):
         c, f = gen_example2(k)
         assert len(classify_vertices(c, f).flat_clusters) == k
+
+
+def reference_classes(c, field):
+    """The field.key-compare link counts classify_vertices replaced:
+    (classes, multiplicity)."""
+
+    def side_components(v, below):
+        kv = field.key(v)
+        label = {w: w for w in c.neighbors(v) if (field.key(w) < kv) == below}
+        for ti in c.vertex_triangles(v):
+            w, x = [p for p in c.triangles[ti] if p != v]
+            if w in label and x in label and label[w] != label[x]:
+                old, new = label[w], label[x]
+                label = {p: new if q == old else q for p, q in label.items()}
+        return len(set(label.values()))
+
+    classes, mult = [], []
+    for v in range(c.vertex_count):
+        lower, upper = side_components(v, True), side_components(v, False)
+        cls, m = "saddle", max(lower, upper) - 1
+        if lower == 0:
+            cls, m = "minimum", 0
+        elif upper == 0:
+            cls, m = "maximum", 0
+        elif lower == 1 and upper == 1:
+            cls, m = "regular", 0
+        elif c.link_kind(v) == "path":
+            b0, b1 = c.boundary_link_ends(v)
+            kv = field.key(v)
+            if (field.key(b0) < kv) == (field.key(b1) < kv):
+                cls, m = "boundary-critical", 0
+        classes.append(cls)
+        mult.append(m)
+    return tuple(classes), tuple(mult)
+
+
+def test_classify_vertices_matches_the_key_compare_reference():
+    rng = random.Random(43)
+    makers = (
+        lambda: Fraction(rng.randrange(4), 3),
+        lambda: Fraction(rng.randrange(9), 8),
+        # one value in several types: 1/2 == 0.5, 1 == 1.0 == Fraction(1)
+        lambda: rng.choice((0, 0.5, Fraction(1, 2), 1, 1.0, Fraction(1))),
+    )
+    for trial in range(60):
+        c = random_closed_surface(rng, max_vertices=120)
+        if trial % 2:
+            # punch holes: the corners of removed triangles get path links
+            tris = list(c.triangles)
+            for _ in range(rng.randrange(1, 4)):
+                tris.pop(rng.randrange(len(tris)))
+            c = build_complex(tris, vertex_count=c.vertex_count)
+            if not c.is_surface:
+                continue
+        tb = list(range(c.vertex_count))
+        rng.shuffle(tb)
+        make = makers[trial % 3]
+        f = ScalarField([make() for _ in tb], tiebreak=tb)
+        rep = classify_vertices(c, f)
+        assert (rep.classes, rep.multiplicity) == reference_classes(c, f), trial
 
 
 def test_classification_requires_surface_and_matching_length():

@@ -16,7 +16,7 @@ from helpers import (
     with_swapped_endpoint,
     without_node,
 )
-from reebforge.errors import InvalidBarycentric, ReebforgeError
+from reebforge.errors import InternalError, InvalidBarycentric, ReebforgeError
 from reebforge.fields import ScalarField
 from reebforge.gallery import (
     AbstractReebSpec,
@@ -266,15 +266,15 @@ FROZEN_MINIMAL_DIGESTS = {
     "example1-3-twice": "251bf8cdf634c3030bae57c477bc0a2c2a0f908764c79d3194a897062c64de7a",
     "column-torus-twice": "6f04c522411eb4c7cccb1200a65b9bdcc5d8dce045d82d808f67470047fc65c1",
     "example1-3-swapped": "dece334461bd284467cee3e58672fec0ab310c68cbc0320f268dad5f343c05b3",
-    "example1-3-dropped": "826d1341ff522354fb3cf32b78aa9552e85122c34001caafed69f5c2c15368ba",
+    "example1-3-dropped": "7d16914dbc4a2ed54961812acdec17756bc4079bfc50a2b95376f73274c78517",
     "example4-swapped": "4a425006190b166c1462b9e11cebf635acb3f238361f4227f9b569dbd1c3f02a",
-    "example4-dropped": "826d1341ff522354fb3cf32b78aa9552e85122c34001caafed69f5c2c15368ba",
+    "example4-dropped": "7d16914dbc4a2ed54961812acdec17756bc4079bfc50a2b95376f73274c78517",
     "tent-torus-swapped": "82794e25850961a110606352eb3dd5a69f97128666d4876af908a7a619303f33",
-    "tent-torus-dropped": "826d1341ff522354fb3cf32b78aa9552e85122c34001caafed69f5c2c15368ba",
+    "tent-torus-dropped": "7d16914dbc4a2ed54961812acdec17756bc4079bfc50a2b95376f73274c78517",
     "column-torus-swapped": "a451a81bdd935f2350e029762b8446237433a9771576af6ad9002bc54446bed5",
-    "column-torus-dropped": "826d1341ff522354fb3cf32b78aa9552e85122c34001caafed69f5c2c15368ba",
+    "column-torus-dropped": "7d16914dbc4a2ed54961812acdec17756bc4079bfc50a2b95376f73274c78517",
     "sphere-swapped": "6a50028f8cd7700b649e2dd375d2d5b13acb8b9fe0e8f655e0251350f8ff374a",
-    "sphere-dropped": "e133c9fe5b1974abf3328f316e36c5e883349ae11c989ec48aa1e66cd3987fc0",
+    "sphere-dropped": "4eecd239637b8c82970366b753f8a798cd1f6b2eb7801090196093a8597be216",
 }
 
 
@@ -294,6 +294,29 @@ def test_minimal_structure_returns_minimal_graphs_unchanged():
     # stale degrees: not what _freeze_graph would build, so it is rebuilt
     swapped = with_swapped_endpoint(g)
     assert minimal_structure(swapped) is not swapped
+    # a flat ring at 0 and at 2 joined by two regular cylinders: both
+    # nodes have degree 2, and suppressing either would need a self-loop
+    c = grid_torus(6, 4)
+    rows = (lambda i: 0, lambda i: Fraction(2 * i + 1, 16), lambda i: 2,
+            lambda i: Fraction(2 * i + 17, 16))
+    g = compute_reeb(c, ScalarField([rows[j](i) for i in range(6) for j in range(4)]))
+    assert g._canonical and [n.degree for n in g.nodes] == [2, 2]
+    assert minimal_structure(g) is g
+
+
+def test_uncovered_vertex_error_names_its_records():
+    c, f = gen_example1(3)
+    with pytest.raises(
+        InternalError,
+        match="^internal: vertex 0 is on no node or arc in the graph given to minimal_structure$",
+    ):
+        minimal_structure(without_node(compute_reeb(c, f)))
+    node = {"height": 0, "kind": "extremum", "witness": 0, "vertices": (0,)}
+    with pytest.raises(
+        InternalError,
+        match="^internal: vertex 1 is on no node or arc in the records given to _build_graph$",
+    ):
+        _build_graph([node], [], [("node", 0), None])
 
 
 def reference_minimal_structure(g):
@@ -428,7 +451,7 @@ def refrozen(g):
         [getattr(a, f) for a in g.arcs]
         for f in ("lower", "upper", "birth_edge", "death_edge", "interior_vertices", "chain_heights")
     ]
-    return _freeze_graph(nodes, arcs, len(g.vertex_map))
+    return _freeze_graph(nodes, arcs, len(g.vertex_map), where="in the refrozen graph")
 
 
 def test_minimal_structure_matches_the_rescanning_reference():
@@ -503,6 +526,47 @@ def test_sweep_matches_oracle_with_ties():
         o = oracle_reeb(c, f)
         assert graphs_isomorphic(g, o), f"trial {trial}"
         assert sorted(n_.height for n_ in g.nodes) == sorted(n_.height for n_ in o.nodes)
+
+
+def shape(g):
+    """Everything of a graph but its node heights."""
+    nodes = [(n.id, n.degree, n.kind, n.witness_vertex, n.vertices) for n in g.nodes]
+    return nodes, g.arcs, g.vertex_map
+
+
+def test_only_the_order_of_values_matters():
+    # k/32 as Fractions, as ints k and as floats (exact in binary) sort
+    # alike, so they give one graph up to its heights
+    rng = random.Random(41)
+    for trial in range(20):
+        c = random_closed_surface(rng, max_vertices=150)
+        n = c.vertex_count
+        ks = [rng.randrange(33) for _ in range(n)]
+        tb = list(range(n))
+        if trial % 2:
+            rng.shuffle(tb)
+        g = compute_reeb(c, ScalarField([Fraction(k, 32) for k in ks], tiebreak=tb))
+        for vals in (ks, [k / 32 for k in ks]):
+            assert shape(compute_reeb(c, ScalarField(vals, tiebreak=tb))) == shape(g), trial
+
+
+def test_equal_values_of_mixed_types_form_one_level():
+    # 0.5 == Fraction(1, 2) == 2/4: mixed types of one value are one level
+    rng = random.Random(42)
+    half = (0.5, Fraction(1, 2))
+    for trial in range(20):
+        c = random_closed_surface(rng, max_vertices=120)
+        n = c.vertex_count
+        ks = [rng.randrange(5) for _ in range(n)]
+        tb = list(range(n))
+        rng.shuffle(tb)
+        mixed = ScalarField([rng.choice(half) if k == 2 else k / 4 for k in ks], tiebreak=tb)
+        g = compute_reeb(c, mixed)
+        o = oracle_reeb(c, mixed)
+        assert graphs_isomorphic(g, o), trial
+        assert [n_.vertices for n_ in g.nodes] == [n_.vertices for n_ in o.nodes], trial
+        exact = ScalarField([Fraction(k, 4) for k in ks], tiebreak=tb)
+        assert shape(g) == shape(compute_reeb(c, exact)), trial
 
 
 def test_sweep_matches_oracle_on_boundary_meshes():
