@@ -304,7 +304,7 @@ def compute_reeb(c, field):
     triangles. Certification (not extraction) is what demands a manifold.
     Output is deterministic for fixed input, and depends on the values
     only through their order and as node heights: ints, floats and
-    Fractions that sort alike give the same nodes, arcs and vertex map.
+    Fractions that sort alike give one graph up to its node heights.
     """
     if len(field) != c.vertex_count:
         raise CountMismatch(
