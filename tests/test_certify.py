@@ -210,3 +210,50 @@ def test_certificate_bytes_frozen():
     assert name == "realized"
     empty = [x for x in cyl.failures if x.representatives == ()]
     assert len(empty) > 1 and all(x.pieces == 1 for x in empty)
+
+
+# SHA-256 of certificates_to_json_bytes for two mutants of the zoo's
+# tent-torus (heights 0, 4, 12, 16; arcs 0-1, 1-2 twice, 2-3) whose
+# star-like stubs meet a change in their component count: "down" moves the
+# lower end of the arc into the top node to the bottom node, "up" moves
+# the upper end of the arc out of the bottom node to the top node
+FROZEN_STUB_DIGESTS = {
+    "down": "f65747680adc2c0107bc44302653601c5dfaa249cdf7f7e20814b8518f67f92a",
+    "up": "c545a880a0172f5eb40cb765ed1417d78f7546659c41263c228d5f7e83dd551c",
+}
+
+
+def test_stub_walk_failures_frozen():
+    import dataclasses
+
+    (c, f), = [(c, f) for name, c, f in gen_surface_zoo() if name == "tent-torus"]
+    g = compute_reeb(c, f)
+    top = len(g.nodes) - 1
+
+    def moved(pick, **ends):
+        arcs = list(g.arcs)
+        a = next(a for a in arcs if pick(a))
+        arcs[a.id] = dataclasses.replace(a, **ends)
+        return type(g)(g.nodes, arcs, g.vertex_map)
+
+    mutants = {
+        "down": moved(lambda a: a.upper == top, lower=0),
+        "up": moved(lambda a: a.lower == 0, upper=top),
+    }
+    # the walked stub splits in two just past the saddle it crosses
+    expected = {"down": (top, Fraction(23, 2)), "up": (0, Fraction(9, 2))}
+    for direction, m in mutants.items():
+        cert = certify_graph(m, c, f)
+        digest = hashlib.sha256(certificates_to_json_bytes(cert)).hexdigest()
+        assert digest == FROZEN_STUB_DIGESTS[direction], direction
+        walked = [
+            (st.node_id, stub)
+            for st in cert.starlike
+            for stub in st.stubs
+            if stub.arc_id is not None and stub.failures
+        ]
+        assert len(walked) == 1, direction
+        node_id, stub = walked[0]
+        assert (node_id, stub.failures[0].value) == expected[direction]
+        assert stub.direction == direction and stub.failures[0].pieces == 3
+        assert stub.cuts_walked == 9

@@ -69,6 +69,17 @@ def test_column_torus_classification():
     assert rep.morse_sum() == c.euler_characteristic() == 0
 
 
+def test_flat_clusters_of_one_value_that_do_not_touch():
+    c = grid_torus(8, 8)
+    values = [Fraction(v + 1) for v in range(64)]
+    for v in (0, 1, 34, 35):
+        values[v] = Fraction(1, 2)
+    rep = classify_vertices(c, ScalarField(values))
+    assert rep.flat_clusters == ((0, 1), (34, 35))
+    assert [v for v in range(64) if rep.flat[v]] == [0, 1, 34, 35]
+    assert rep.flat_values(ScalarField(values)) == (Fraction(1, 2),)
+
+
 def test_boundary_restricted_criticality():
     # fan disk: rim path 0-1-2-3, hub 4; both rim neighbors of vertex 1
     # sit below it, so it is critical only for the restricted field

@@ -29,6 +29,9 @@ def test_spec_validation():
     good = AbstractReebSpec((Fraction(0), Fraction(1)), ((0, 1),))
     assert good.validate() == [Fraction(0), Fraction(1)]
     assert good.b1() == 0 and good.component_count() == 1
+    lonely = AbstractReebSpec((Fraction(0), Fraction(1), Fraction(5)), ((0, 1),))
+    assert lonely.component_count() == 2 and lonely.b1() == 0
+    assert spec_to_graph(lonely).components == 2
     with pytest.raises(UnrealizableSpec):
         AbstractReebSpec((), ()).validate()
     with pytest.raises(UnrealizableSpec):

@@ -122,6 +122,12 @@ def test_connected_components_and_subsets():
     c = build_complex([(0, 1, 2), (3, 4, 5)])
     assert connected_components(c) == [[0, 1, 2], [3, 4, 5]]
     assert connected_components(c, vertices=[0, 1, 4]) == [[0, 1], [4]]
+    # explicit edges replace the complex's; edges leaving the subset are dropped
+    assert connected_components(c, edges=[(4, 1)]) == [[0], [1, 4], [2], [3], [5]]
+    assert connected_components(c, vertices=[5, 2, 0, 4], edges=[(2, 0), (4, 5), (2, 3)]) == [
+        [0, 2],
+        [4, 5],
+    ]
     assert c.component_count() == 2
     assert c.component_of(4) == {3, 4, 5}
 
