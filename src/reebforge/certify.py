@@ -12,11 +12,13 @@ Three checks, all constructive:
   a node decomposes into exactly degree-many cylindrical stubs, one per
   incident arc end.
 
-Both walks, the arc's strand and each star-like stub, step over runs of
-cuts where LevelSlicer.next_change shows that their components cannot
-change, and handle each run once. cuts_tested and cuts_walked still count
-every cut a walk spans, jumped or not, and a failing run reports one
-CutFailure per cut.
+One cut walk, _runs, follows components from cut to cut, up or down, for
+the arc's strand and for each star-like stub. It steps over runs of cuts
+where LevelSlicer.next_change shows that their components cannot change,
+and yields each run once. The cylindrical check reads every run, and a
+failing run reports one CutFailure per cut; a stub stops at the first run
+that is not one piece. cuts_tested and cuts_walked still count every cut a
+walk spans, jumped or not.
 
 Certification requires a surface complex; extraction does not.
 """
@@ -161,44 +163,45 @@ def certify_arc_embedding(g, field, arc_id):
     )
 
 
-# -- cylindrical --------------------------------------------------------------
+# -- cut walk -----------------------------------------------------------------
 
 
-def _walk_strand(slicer, t0, t1, seed_item):
-    """Runs of cuts t0..t1 reached from the seed, plus gluing.
+def _runs(slicer, comps, t, t_end, step):
+    """The one cut walk: runs of cuts from t toward t_end, following comps.
 
-    Returns (runs, links). runs[s] is (t, n, comps): the n cuts from t on
-    all hold the component list comps, because slicer.next_change saw no
-    item change between them. links[s] pairs indices of runs[s]'s comps
-    with indices of runs[s + 1]'s. Cut t0 is walked even when t1 < t0.
+    comps are whole components at cut t, and step is +1 going up or -1
+    going down. Yields (t, n, comps, links): the n cuts from t on, in the
+    walk's direction, all hold the component list comps, because
+    slicer.next_change saw no item change between them. links pairs
+    indices of the previous run's comps with indices of comps; it is empty
+    for the first run. Cut t is walked even when t_end lies behind it.
     """
-    cur = [slicer.component(t0, seed_item)]
-    t = t0
-    runs = []
     links = []
     while True:
-        t_next = slicer.next_change(cur, t, +1)
-        if t_next > t1:
-            runs.append((t, max(t, t1) - t + 1, cur))
-            return runs, links
-        runs.append((t, t_next - t, cur))
+        t_next = slicer.next_change(comps, t, step)
+        if (t_next - t_end) * step > 0:
+            yield t, max((t_end - t) * step, 0) + 1, comps, links
+            return
+        yield t, (t_next - t) * step, comps, links
         nxt = []
-        step = []
-        for i, comp in enumerate(cur):
-            for s in slicer.advance(comp, t_next - 1, +1):
-                j = next((k for k, cj in enumerate(nxt) if s in cj), None)
+        links = []
+        # each item of a component found so far, to the index of its component
+        comp_of = {}
+        for i, comp in enumerate(comps):
+            for seed in slicer.advance(comp, t_next - step, step):
+                j = comp_of.get(seed)
                 if j is None:
                     j = len(nxt)
-                    nxt.append(slicer.component(t_next, s))
-                if (i, j) not in step:
-                    step.append((i, j))
-        links.append(step)
-        cur = nxt
+                    found = slicer.component(t_next, seed)
+                    nxt.append(found)
+                    comp_of.update(dict.fromkeys(found, j))
+                if (i, j) not in links:
+                    links.append((i, j))
+        comps = nxt
         t = t_next
 
 
-def _min_item(comp):
-    return min(comp)
+# -- cylindrical --------------------------------------------------------------
 
 
 def certify_arc_cylindrical(g, c, field, arc_id, slicer=None):
@@ -233,7 +236,8 @@ def certify_arc_cylindrical(g, c, field, arc_id, slicer=None):
             ),
         )
 
-    runs, links = _walk_strand(slicer, t0, t_hi - 1, ("e", arc.birth_edge))
+    seed = [slicer.component(t0, ("e", arc.birth_edge))]
+    runs = list(_runs(slicer, seed, t0, t_hi - 1, 1))
     r = len(runs)
 
     lower_vs = set(g.nodes[arc.lower].vertices)
@@ -267,7 +271,7 @@ def certify_arc_cylindrical(g, c, field, arc_id, slicer=None):
             parent[(s, i)] = (s, i)
             count += 1
         if s < r - 1:
-            for i, j in links[s]:
+            for i, j in runs[s + 1][3]:
                 ri, rj = find((s, i)), find((s + 1, j))
                 if ri != rj:
                     parent[rj] = ri
@@ -278,11 +282,11 @@ def certify_arc_cylindrical(g, c, field, arc_id, slicer=None):
     # is the suffix after the run: a run of several cuts ends on a mid cut,
     # and from a mid cut to the next at cut components only merge, so the
     # run's instances add nothing to the count of the suffix above them
-    for s, (t, n, comps) in enumerate(runs):
+    for s, (t, n, comps, _) in enumerate(runs):
         pieces = 1 + (suffix_count[s + 1] if s + 1 < r else len(comps))
         if len(comps) == 1 and pieces == 2:
             continue
-        reps = tuple(sorted(_min_item(comp) for comp in comps))
+        reps = tuple(sorted(min(comp) for comp in comps))
         for p in range(n):
             value, side = slicer.cut_position(t + p)
             failures.append(
@@ -296,7 +300,7 @@ def certify_arc_cylindrical(g, c, field, arc_id, slicer=None):
         seed_active=True,
         lower_attached=lower_attached,
         upper_attached=upper_attached,
-        cuts_tested=sum(n for _, n, _ in runs),
+        cuts_tested=sum(run[1] for run in runs),
         failures=tuple(failures),
     )
 
@@ -333,7 +337,7 @@ def certify_node_starlike(g, c, field, node_id, slicer=None):
     for direction, step in (("up", 1), ("down", -1)):
         seeds = slicer.advance(contour, t_n, step)
         comps = slicer.components_from(t_n + step, seeds)
-        pieces.extend((direction, comp) for comp in sorted(comps, key=min))
+        pieces.extend((direction, step, comp) for comp in sorted(comps, key=min))
 
     if node.degree == 0:
         ok = not pieces and c.component_of(node.witness_vertex) == set(
@@ -354,7 +358,7 @@ def certify_node_starlike(g, c, field, node_id, slicer=None):
     stubs = []
     ok = len(pieces) == node.degree
     used_arcs = set()
-    for direction, comp in pieces:
+    for direction, step, comp in pieces:
         flist = []
         if direction == "up":
             cands = [
@@ -367,13 +371,13 @@ def certify_node_starlike(g, c, field, node_id, slicer=None):
         arc_id = cands[0] if len(cands) == 1 else None
         if arc_id is None:
             ok = False
-            value, side = slicer.cut_position(t_n + (1 if direction == "up" else -1))
+            value, side = slicer.cut_position(t_n + step)
             flist.append(
                 CutFailure(
                     value=value,
                     side=side,
                     pieces=len(cands),
-                    representatives=(_min_item(comp),),
+                    representatives=(min(comp),),
                 )
             )
             stubs.append(
@@ -391,37 +395,24 @@ def certify_node_starlike(g, c, field, node_id, slicer=None):
         t_end = _truncation_cut(
             slicer, node.height, g.nodes[other].height, direction == "up"
         )
-        cur = [comp]
-        t = t_n + 1 if direction == "up" else t_n - 1
-        step = 1 if direction == "up" else -1
-        walked = 1
-        while t != t_end:
-            # the cuts before the next change repeat cur: walked, not searched
-            t_next = slicer.next_change(cur, t, step)
-            if (t_next - t_end) * step > 0:
-                walked += (t_end - t) * step
-                break
-            walked += (t_next - t) * step
-            seeds = []
-            for cc in cur:
-                seeds.extend(slicer.advance(cc, t_next - step, step))
-            nxt = slicer.components_from(t_next, seeds)
-            t = t_next
-            if len(nxt) != len(cur):
-                value, side = slicer.cut_position(t)
-                flist.append(
-                    CutFailure(
-                        value=value,
-                        side=side,
-                        pieces=1 + len(nxt),
-                        representatives=tuple(
-                            sorted(_min_item(x) for x in nxt)
-                        ),
-                    )
+        walked = 0
+        for t, n, comps, _ in _runs(slicer, [comp], t_n + step, t_end, step):
+            if len(comps) == 1:
+                walked += n
+                continue
+            # the stub ends on the first cut where it is not one piece
+            walked += 1
+            value, side = slicer.cut_position(t)
+            flist.append(
+                CutFailure(
+                    value=value,
+                    side=side,
+                    pieces=1 + len(comps),
+                    representatives=tuple(sorted(min(x) for x in comps)),
                 )
-                ok = False
-                break
-            cur = nxt
+            )
+            ok = False
+            break
         stubs.append(
             StubReport(
                 direction=direction,

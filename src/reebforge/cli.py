@@ -109,12 +109,14 @@ def _parse_formats(text):
 
 
 def cmd_run(args):
+    args.formats = _parse_formats(args.format)
     c = load_off(args.mesh)
     field = load_field(args.field, c)
     return _process(None, c, field, args, args.out)
 
 
 def cmd_gen(args):
+    args.formats = _parse_formats(args.format)
     if args.name == "zoo":
         status = 0
         for name, c, field in gen_surface_zoo():
@@ -160,8 +162,15 @@ def cmd_bench(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse exits 2 on usage errors; 2 is kept for failed checks
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="reebforge",
         description="Reeb graphs of piecewise-linear fields on simplicial complexes",
     )
@@ -172,7 +181,6 @@ def _build_parser():
         sp.add_argument("--oracle", action="store_true", help="cross-check against the slab oracle")
         sp.add_argument("--out", metavar="DIR", default=None, help="write artifacts into DIR")
         sp.add_argument("--format", default="json", help="comma list from json,dot,off")
-        sp.add_argument("--seed", type=int, default=0, help="seed for randomized inputs")
 
     runp = sub.add_parser("run", help="compute from an OFF mesh and a field file")
     runp.add_argument("mesh")
@@ -189,7 +197,8 @@ def _build_parser():
     benchp = sub.add_parser("bench", help="time compute_reeb on a generated instance")
     benchp.add_argument("name", help="example generators or 'sphere'")
     benchp.add_argument("--n", type=int, default=None, help="generator parameter / subdivision level")
-    common(benchp)
+    benchp.add_argument("--seed", type=int, default=0, help="seed of the random sphere field")
+    benchp.add_argument("--out", metavar="DIR", default=None, help="write reeb.json into DIR")
     benchp.set_defaults(func=cmd_bench)
     return p
 
@@ -198,7 +207,6 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        args.formats = _parse_formats(args.format)
         return args.func(args)
     except ReebforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CountMismatch, InputError, ManifoldRequired, NonFiniteValue
+from .simplicial import _pair_components
 
 __all__ = [
     "ScalarField",
@@ -212,38 +213,23 @@ def classify_vertices(c, field):
         raise ManifoldRequired("classification requires a surface complex")
 
     _, pos = _sweep_order(field)
+    vals = field.values
+    clusters = _pair_components([(a, b) for a, b in c.edges if vals[a] == vals[b]])
+    flat = [False] * c.vertex_count
+    for cluster in clusters:
+        for v in cluster:
+            flat[v] = True
     classes = []
     mult = []
-    flat = []
     for v in range(c.vertex_count):
-        val = field.values[v]
-        flat.append(any(field.values[w] == val for w in c.neighbors(v)))
         cls, m = _link_class(c, pos, v, True)
         classes.append(cls)
         mult.append(m)
-
-    clusters = []
-    seen = set()
-    for v in range(c.vertex_count):
-        if v in seen or not flat[v]:
-            continue
-        val = field.values[v]
-        stack = [v]
-        seen.add(v)
-        cluster = [v]
-        while stack:
-            u = stack.pop()
-            for w in c.neighbors(u):
-                if w not in seen and field.values[w] == val:
-                    seen.add(w)
-                    cluster.append(w)
-                    stack.append(w)
-        clusters.append(tuple(sorted(cluster)))
     return CriticalityReport(
         classes=tuple(classes),
         multiplicity=tuple(mult),
         flat=tuple(flat),
-        flat_clusters=tuple(sorted(clusters)),
+        flat_clusters=tuple(map(tuple, clusters)),
     )
 
 

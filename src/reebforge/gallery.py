@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import InputError, UnrealizableSpec
 from .fields import ScalarField
-from .simplicial import build_complex
+from .simplicial import _pair_components, build_complex
 
 __all__ = [
     "RING_RESOLUTION",
@@ -66,21 +66,10 @@ class AbstractReebSpec:
 
     def component_count(self):
         n = len(self.heights)
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        comps = n
         for a, b in self.arcs:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-                comps -= 1
-        return comps
+            if not (0 <= a < n and 0 <= b < n):
+                raise UnrealizableSpec(f"arc ({a}, {b}) references a missing node")
+        return len(_pair_components(self.arcs, range(n)))
 
     def b1(self):
         return len(self.arcs) - len(self.heights) + self.component_count()

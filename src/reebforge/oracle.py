@@ -36,7 +36,7 @@ import os
 from bisect import bisect_right
 
 from .errors import CountMismatch, InputError, InternalError
-from .reeb import ReebGraph, _build_graph
+from .reeb import ReebGraph, _freeze_graph
 
 __all__ = ["oracle_reeb", "oracle_size_limit"]
 
@@ -179,9 +179,10 @@ def oracle_reeb(c, field, limit=None):
     down = []  # instances of the cut below that it meets
     is_node = []
     classes = {}
-    node_rec = []
+    # node and arc columns in the form _freeze_graph takes
+    n_height, n_kind, n_witness, n_verts = nodes = ([], [], [], [])
+    a_lower, a_upper, a_birth, a_death, a_interior = arcs = ([], [], [], [], [])
     node_id = {}
-    vmap = [None] * nv
     for t in range(ncuts):
         items = items_at[t]
         for it in items:
@@ -237,17 +238,11 @@ def oracle_reeb(c, field, limit=None):
             ):
                 if kind_tag in tags:
                     break
-            node_id[g] = len(node_rec)
-            node_rec.append(
-                {
-                    "height": values[t // 2],
-                    "kind": kind,
-                    "witness": verts[g][0],
-                    "vertices": tuple(verts[g]),
-                }
-            )
-            for u in verts[g]:
-                vmap[u] = ("node", node_id[g])
+            node_id[g] = len(n_height)
+            n_height.append(values[t // 2])
+            n_kind.append(kind)
+            n_witness.append(verts[g][0])
+            n_verts.append(verts[g])
 
     up = [[] for _ in head]
     for g, links in enumerate(down):
@@ -259,7 +254,6 @@ def oracle_reeb(c, field, limit=None):
     # starts its chain, right above a node. Chains start and end on gap
     # cuts, whose instances hold edges only: their smallest item is their
     # smallest edge.
-    arc_rec = []
     visited = bytearray(len(head))
     for g in range(len(head)):
         if is_node[g] or visited[g]:
@@ -276,18 +270,10 @@ def oracle_reeb(c, field, limit=None):
                 break
             chain.append(nxt)
             visited[nxt] = 1
-        interior = [u for x in chain for u in verts[x]]
-        aid = len(arc_rec)
-        arc_rec.append(
-            {
-                "lower": node_id[next(iter(down[g]))],
-                "upper": node_id[nxt],
-                "birth": head[g] - nv,
-                "death": head[chain[-1]] - nv,
-                "interior": interior,
-            }
-        )
-        for u in interior:
-            vmap[u] = ("arc", aid)
+        a_lower.append(node_id[next(iter(down[g]))])
+        a_upper.append(node_id[nxt])
+        a_birth.append(head[g] - nv)
+        a_death.append(head[chain[-1]] - nv)
+        a_interior.append([u for x in chain for u in verts[x]])
 
-    return _build_graph(node_rec, arc_rec, vmap)
+    return _freeze_graph(nodes, (*arcs, None), nv, where="after the oracle")

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from .errors import CountMismatch, InputError, InternalError, InvalidBarycentric
 from .fields import _link_class, _sweep_order
 from .levels import AT, ContourRef, LevelSlicer
+from .simplicial import _pair_components
 
 __all__ = [
     "ReebNode",
@@ -95,24 +96,13 @@ class ReebGraph:
         self._incident = None
         # set by _freeze_graph: minimal_structure would rebuild the graph as is
         self._canonical = False
-        self.components = self._component_count()
-        self.b1 = len(self.arcs) - len(self.nodes) + self.components
-
-    def _component_count(self):
         n = len(self.nodes)
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a in self.arcs:
-            ra, rb = find(a.lower), find(a.upper)
-            if ra != rb:
-                parent[ra] = rb
-        return len({find(i) for i in range(n)})
+        ends = [(a.lower, a.upper) for a in self.arcs]
+        for x, y in ends:
+            if not (0 <= x < n and 0 <= y < n):
+                raise InputError(f"arc ({x}, {y}) references a missing node")
+        self.components = len(_pair_components(ends, range(n)))
+        self.b1 = len(self.arcs) - n + self.components
 
     def node_arcs(self, node_id):
         """Arc ids incident to the node; loop arcs appear once."""
@@ -156,9 +146,13 @@ class ReebGraph:
 
 
 def _build_graph(node_rec, arc_rec, vmap):
-    """Freeze dict records: node_rec entries carry height, kind, witness and
-    vertices; arc_rec entries lower, upper, birth, death, interior and an
-    optional chain; vmap entries are ("node" | "arc", provisional id).
+    """Adapt hand-built dict records to the columns _freeze_graph takes.
+
+    node_rec entries carry height, kind, witness and vertices; arc_rec
+    entries lower, upper, birth, death, interior and an optional chain;
+    vmap entries are ("node" | "arc", provisional id). The library's own
+    graphs (sweep, oracle, minimal_structure) hand columns to _freeze_graph
+    directly.
     """
     nodes = (
         [r["height"] for r in node_rec],
@@ -184,7 +178,7 @@ def _build_graph(node_rec, arc_rec, vmap):
 
 
 def _freeze_graph(nodes, arcs, vertex_count, vmap=None, *, where):
-    """Renumber raw sweep records deterministically and freeze the graph.
+    """Renumber raw node and arc columns deterministically and freeze the graph.
 
     nodes holds parallel lists (heights, kinds, witnesses, vertex tuples);
     arcs holds (lowers, uppers, births, deaths, interiors, chains), where
@@ -265,33 +259,6 @@ def _freeze_graph(nodes, arcs, vertex_count, vmap=None, *, where):
     # up in node order, so it already reads from its lower end to its upper
     g._canonical = vmap is None and all(x <= y for x, y in zip(lo, hi))
     return g
-
-
-def _pair_components(pairs):
-    """Components of the graph on the items of (x, y) pairs.
-
-    Each component is a sorted list; components are ordered by their
-    smallest item.
-    """
-    parent = {}
-    for x, y in pairs:
-        parent.setdefault(x, x)
-        parent.setdefault(y, y)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        while parent[y] != y:
-            parent[y] = parent[parent[y]]
-            y = parent[y]
-        if x != y:
-            parent[y] = x
-    comps = {}
-    for x in parent:
-        r = x
-        while parent[r] != r:
-            r = parent[r]
-        comps.setdefault(r, []).append(x)
-    return sorted(sorted(items) for items in comps.values())
 
 
 def compute_reeb(c, field):

@@ -413,40 +413,49 @@ def vertex_link(c, v):
     )
 
 
+def _pair_components(pairs, items=()):
+    """Components of the graph on items and on the items of (x, y) pairs.
+
+    This is the one batch component routine. Items are hashable and
+    mutually comparable; an item of items that is in no pair is a component
+    of its own. Each component is a sorted list, and the components are
+    ordered by their smallest item; callers rely on both orders.
+    """
+    parent = {x: x for x in items}
+    for x, y in pairs:
+        parent.setdefault(x, x)
+        parent.setdefault(y, y)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        while parent[y] != y:
+            parent[y] = parent[parent[y]]
+            y = parent[y]
+        if x != y:
+            parent[y] = x
+    comps = {}
+    for x in parent:
+        r = x
+        while parent[r] != r:
+            r = parent[r]
+        comps.setdefault(r, []).append(x)
+    return sorted(sorted(items) for items in comps.values())
+
+
 def connected_components(c, vertices=None, edges=None):
     """Partition a vertex subset into edge-connected pieces.
 
-    Pieces are sorted lists; the list of pieces is ordered by minimum
-    vertex id, so representatives are deterministic.
+    The edges are the complex's unless given; an edge counts only when
+    both its ends are in the subset. Pieces are sorted lists; the list of
+    pieces is ordered by minimum vertex id, so representatives are
+    deterministic.
     """
     if vertices is None:
         vertices = range(c.vertex_count)
     vset = set(vertices)
     if edges is None:
-        adj = {v: [w for w in c.neighbors(v) if w in vset] for v in vset}
-    else:
-        adj = {v: [] for v in vset}
-        for u, w in edges:
-            if u in vset and w in vset:
-                adj[u].append(w)
-                adj[w].append(u)
-    pieces = []
-    seen = set()
-    for v in sorted(vset):
-        if v in seen:
-            continue
-        stack = [v]
-        seen.add(v)
-        piece = [v]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    piece.append(w)
-                    stack.append(w)
-        pieces.append(sorted(piece))
-    return pieces
+        edges = c.edges
+    return _pair_components([(u, w) for u, w in edges if u in vset and w in vset], vset)
 
 
 # -- OFF input/output ----------------------------------------------------

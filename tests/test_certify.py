@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import with_swapped_endpoint, without_node
+from helpers import random_closed_surface, with_swapped_endpoint, without_node
 from reebforge.certify import (
     certify_arc_cylindrical,
     certify_arc_embedding,
@@ -126,6 +126,29 @@ def test_mutations_are_caught():
         assert not certify_graph(swapped, c, f).ok
         dropped = without_node(g)
         assert not certify_graph(dropped, c, f).ok
+
+
+def test_stub_toward_a_node_at_its_own_height_walks_one_cut():
+    # minimal_structure merges arcs into ones whose two ends can share a
+    # height; such a stub's end cut lies behind its first cut
+    level = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        c = random_closed_surface(rng, max_vertices=20)
+        f = ScalarField([Fraction(rng.randrange(3)) for _ in range(c.vertex_count)])
+        m = minimal_structure(compute_reeb(c, f))
+        for node in m.nodes:
+            for stub in certify_node_starlike(m, c, f, node.id).stubs:
+                if stub.arc_id is None:
+                    continue
+                arc = m.arcs[stub.arc_id]
+                other = arc.upper if stub.direction == "up" else arc.lower
+                if m.nodes[other].height == node.height:
+                    level.append(stub)
+                else:
+                    assert stub.cuts_walked >= 1
+    assert len(level) == 5
+    assert all(stub.cuts_walked == 1 and not stub.failures for stub in level)
 
 
 def test_surface_required():

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from reebforge import cli
 from reebforge.certify import EmbeddingCertificate, GraphCertificate
 from reebforge.errors import InternalError
@@ -148,6 +150,47 @@ def test_bench_report(capsys):
     assert report["triangles"] == 128
     assert report["seconds"] >= 0
     assert {"nodes", "arcs", "b1", "loops", "components"} <= set(report)
+
+
+def test_bench_seed_and_out(tmp_path, capsys):
+    out = tmp_path / "bench"
+    rc, stdout, _ = run_cli(
+        ["bench", "sphere", "--n", "1", "--seed", "5", "--out", str(out)], capsys
+    )
+    assert rc == 0
+    assert json.loads(stdout)["input"] == "sphere"
+    assert (out / "reeb.json").is_file()
+
+
+def test_usage_errors_exit_1(capsys):
+    # each subcommand takes only the flags it reads
+    for argv in (
+        [],
+        ["bench"],
+        ["run", "--bogus", "a", "b"],
+        ["run", "a", "b", "--seed", "1"],
+        ["gen", "example1", "--seed", "1"],
+        ["bench", "sphere", "--certify"],
+        ["bench", "sphere", "--oracle"],
+        ["bench", "sphere", "--format", "dot"],
+        ["gen", "example1", "--n", "two"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1, argv
+        assert capsys.readouterr().err.startswith("usage: reebforge"), argv
+    for argv in (["--help"], ["bench", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0, argv
+        assert capsys.readouterr().out.startswith("usage: reebforge")
+    proc = subprocess.run(
+        [sys.executable, "-m", "reebforge.cli", "run", "--bogus", "a", "b"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "unrecognized arguments: --bogus" in proc.stderr
 
 
 def test_format_dot(tmp_path, capsys):

@@ -32,6 +32,11 @@ def test_spec_validation():
     lonely = AbstractReebSpec((Fraction(0), Fraction(1), Fraction(5)), ((0, 1),))
     assert lonely.component_count() == 2 and lonely.b1() == 0
     assert spec_to_graph(lonely).components == 2
+    for arcs in (((0, 3),), ((0, -1),)):
+        spec = AbstractReebSpec((Fraction(0), Fraction(1), Fraction(2)), arcs)
+        for query in (spec.component_count, spec.b1, spec.validate):
+            with pytest.raises(UnrealizableSpec, match="references a missing node"):
+                query()
     with pytest.raises(UnrealizableSpec):
         AbstractReebSpec((), ()).validate()
     with pytest.raises(UnrealizableSpec):

@@ -1,5 +1,6 @@
 """Sweep extraction: frozen small cases, quotient map, suppression, fuzzing."""
 
+import dataclasses
 import hashlib
 import random
 import time
@@ -16,7 +17,7 @@ from helpers import (
     with_swapped_endpoint,
     without_node,
 )
-from reebforge.errors import InternalError, InvalidBarycentric, ReebforgeError
+from reebforge.errors import InputError, InternalError, InvalidBarycentric, ReebforgeError
 from reebforge.fields import ScalarField
 from reebforge.gallery import (
     AbstractReebSpec,
@@ -123,6 +124,17 @@ def test_two_components():
     f = ScalarField([Fraction(i) for i in range(4)] + [Fraction(i + 10) for i in range(4)])
     g = compute_reeb(c, f)
     assert g.stats() == {"nodes": 4, "arcs": 2, "b1": 0, "loops": 0, "components": 2}
+    # an isolated node is a component of its own
+    lone = ReebGraph(g.nodes, g.arcs[:1], g.vertex_map)
+    assert (lone.components, lone.b1) == (3, 0)
+
+
+def test_arc_to_a_missing_node_is_an_input_error():
+    c, f, g = tetra_graph()
+    for end in (len(g.nodes), -1):
+        bad = dataclasses.replace(g.arcs[0], upper=end)
+        with pytest.raises(InputError, match="references a missing node"):
+            ReebGraph(g.nodes, (bad,), g.vertex_map)
 
 
 def test_arc_interiors_are_regular_and_inside():
