@@ -439,7 +439,7 @@ def _pair_components(pairs, items=()):
         while parent[r] != r:
             r = parent[r]
         comps.setdefault(r, []).append(x)
-    return sorted(sorted(items) for items in comps.values())
+    return sorted(sorted(comp) for comp in comps.values())
 
 
 def connected_components(c, vertices=None, edges=None):
