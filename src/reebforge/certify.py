@@ -20,6 +20,13 @@ failing run reports one CutFailure per cut; a stub stops at the first run
 that is not one piece. cuts_tested and cuts_walked still count every cut a
 walk spans, jumped or not.
 
+Within certify_graph an up-stub does not walk again. It starts from the
+very component its arc's strand walk starts from, and _runs picks the same
+runs whatever its end cut, so the strand records its first run that is not
+one piece (the strand record), and the stub reads its cuts_walked and
+failure off that record whenever its end cut lies within the strand's
+range. Down-stubs still walk, and so does certify_node_starlike on its own.
+
 Certification requires a surface complex; extraction does not.
 """
 
@@ -28,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, ManifoldRequired
-from .levels import AT, LevelSlicer
+from .levels import ABOVE, AT, LevelSlicer
 
 __all__ = [
     "CutFailure",
@@ -175,6 +182,7 @@ def _runs(slicer, comps, t, t_end, step):
     slicer.next_change saw no item change between them. links pairs
     indices of the previous run's comps with indices of comps; it is empty
     for the first run. Cut t is walked even when t_end lies behind it.
+    Where a run starts does not depend on t_end.
     """
     links = []
     while True:
@@ -201,25 +209,51 @@ def _runs(slicer, comps, t, t_end, step):
         t = t_next
 
 
+def _representatives(slicer, comps):
+    """The smallest item of each component, ascending, as item pairs."""
+    return tuple(map(slicer.label, sorted(min(comp) for comp in comps)))
+
+
 # -- cylindrical --------------------------------------------------------------
 
 
 def certify_arc_cylindrical(g, c, field, arc_id, slicer=None):
-    """Walk the arc's strand and test the two-piece property at every cut."""
+    """Walk the arc's strand and test the two-piece property at every cut.
+
+    The attachment checks search the claimed endpoint's cut from the
+    smallest seed item that the strand's end component hands to it
+    (LevelSlicer.advance). On an arc that runs upward every seed lies in one
+    component; the rule keeps the answer free of set order where not.
+    """
     _require_surface(c)
+    if slicer is None:
+        slicer = LevelSlicer(c, field)
+    return _cylindrical(g, arc_id, slicer)[0]
+
+
+def _cylindrical(g, arc_id, slicer):
+    """The cylindrical certificate of an arc and the strand record of its walk.
+
+    The strand record is (t_last, first): the walk holds every run from its
+    first cut up to t_last, and first is (t, comps) of the first of them
+    that is not one piece, or None. An arc whose strand is not walked has
+    no record (None).
+    """
     arc = g.arcs[arc_id]
     if arc.chain_heights:
         raise InputError(
             "cylindrical certification applies to height-monotone arcs only"
         )
-    if slicer is None:
-        slicer = LevelSlicer(c, field)
     t_lo = slicer.cut_of(g.nodes[arc.lower].height, AT)
     t_hi = slicer.cut_of(g.nodes[arc.upper].height, AT)
     t0 = t_lo + 1
     if not slicer.edge_active(arc.birth_edge, t0):
-        value, side = slicer.cut_position(t0)
-        return CylindricalCertificate(
+        # a lower node at the top value has no cut above it at all
+        if t0 < slicer.cut_count:
+            value, side = slicer.cut_position(t0)
+        else:
+            value, side = g.nodes[arc.lower].height, ABOVE
+        cert = CylindricalCertificate(
             arc_id=arc_id,
             ok=False,
             seed_active=False,
@@ -231,26 +265,28 @@ def certify_arc_cylindrical(g, c, field, arc_id, slicer=None):
                     value=value,
                     side=side,
                     pieces=0,
-                    representatives=(("e", arc.birth_edge),),
+                    representatives=(slicer.label(arc.birth_edge),),
                 ),
             ),
         )
+        return cert, None
 
-    seed = [slicer.component(t0, ("e", arc.birth_edge))]
+    seed = [slicer.component(t0, arc.birth_edge)]
     runs = list(_runs(slicer, seed, t0, t_hi - 1, 1))
     r = len(runs)
 
-    lower_vs = set(g.nodes[arc.lower].vertices)
-    upper_vs = set(g.nodes[arc.upper].vertices)
+    vertex_item = slicer.vertex_item
+    lower_items = [vertex_item(u) for u in g.nodes[arc.lower].vertices]
+    upper_items = [vertex_item(u) for u in g.nodes[arc.upper].vertices]
     seeds_down = slicer.advance(runs[0][2][0], t0, -1)
-    below = slicer.component(t_lo, seeds_down[0]) if seeds_down else frozenset()
-    lower_attached = any(("v", u) in below for u in lower_vs)
+    below = slicer.component(t_lo, min(seeds_down)) if seeds_down else frozenset()
+    lower_attached = any(x in below for x in lower_items)
     top = runs[-1][2]
     upper_attached = bool(top)
     for comp in top:
         seeds_up = slicer.advance(comp, t_hi - 1, +1)
-        above = slicer.component(t_hi, seeds_up[0]) if seeds_up else frozenset()
-        if not any(("v", u) in above for u in upper_vs):
+        above = slicer.component(t_hi, min(seeds_up)) if seeds_up else frozenset()
+        if not any(x in above for x in upper_items):
             upper_attached = False
 
     # suffix component counts via reverse incremental union-find over
@@ -286,7 +322,7 @@ def certify_arc_cylindrical(g, c, field, arc_id, slicer=None):
         pieces = 1 + (suffix_count[s + 1] if s + 1 < r else len(comps))
         if len(comps) == 1 and pieces == 2:
             continue
-        reps = tuple(sorted(min(comp) for comp in comps))
+        reps = _representatives(slicer, comps)
         for p in range(n):
             value, side = slicer.cut_position(t + p)
             failures.append(
@@ -294,7 +330,7 @@ def certify_arc_cylindrical(g, c, field, arc_id, slicer=None):
             )
 
     ok = lower_attached and upper_attached and not failures
-    return CylindricalCertificate(
+    cert = CylindricalCertificate(
         arc_id=arc_id,
         ok=ok,
         seed_active=True,
@@ -303,6 +339,8 @@ def certify_arc_cylindrical(g, c, field, arc_id, slicer=None):
         cuts_tested=sum(run[1] for run in runs),
         failures=tuple(failures),
     )
+    first = next(((t, comps) for t, _, comps, _ in runs if len(comps) != 1), None)
+    return cert, (t_hi - 1, first)
 
 
 # -- star-like ----------------------------------------------------------------
@@ -322,17 +360,50 @@ def _truncation_cut(slicer, h_node, h_other, upward):
     return t
 
 
+def _stub_walk(slicer, comp, t, t_end, step, strand):
+    """(cuts walked, (t, comps) of the first run not one piece, or None).
+
+    The stub starts from component comp at cut t and ends on t_end. strand
+    is the strand record of the arc an up-stub follows, or None. That strand
+    starts from comp at t as well, and _runs starts its runs at the same
+    cuts whatever the end cut, so the stub's runs are the strand's runs cut
+    short at t_end: the record answers unless the stub reaches past the
+    strand's last run without meeting a failure.
+    """
+    if strand is not None:
+        t_last, first = strand
+        # the stub walks its first run even when t_end lies behind t
+        if first is not None and first[0] <= max(t_end, t):
+            return first[0] - t + 1, first
+        if first is not None or t_end <= t_last:
+            return max(t_end - t, 0) + 1, None
+    walked = 0
+    for t_run, n, comps, _ in _runs(slicer, [comp], t, t_end, step):
+        if len(comps) != 1:
+            # the stub ends on the first cut where it is not one piece
+            return walked + 1, (t_run, comps)
+        walked += n
+    return walked, None
+
+
 def certify_node_starlike(g, c, field, node_id, slicer=None):
     """Decompose the node's truncated punctured preimage into stubs."""
     _require_surface(c)
-    node = g.nodes[node_id]
     if slicer is None:
         slicer = LevelSlicer(c, field)
-    t_n = slicer.cut_of(node.height, AT)
-    contour = slicer.component(t_n, ("v", node.witness_vertex))
+    return _starlike(g, c, node_id, slicer, {})
 
-    # up pieces before down pieces, each side ordered by its minimum item:
-    # the order of the sets they are found from follows string hashing
+
+def _starlike(g, c, node_id, slicer, strands):
+    """certify_node_starlike, reading up-stubs off strands where it can.
+
+    strands maps arc ids to the strand records of _cylindrical.
+    """
+    node = g.nodes[node_id]
+    t_n = slicer.cut_of(node.height, AT)
+    contour = slicer.component(t_n, slicer.vertex_item(node.witness_vertex))
+
+    # up pieces before down pieces, each side ordered by its minimum item
     pieces = []
     for direction, step in (("up", 1), ("down", -1)):
         seeds = slicer.advance(contour, t_n, step)
@@ -361,13 +432,9 @@ def certify_node_starlike(g, c, field, node_id, slicer=None):
     for direction, step, comp in pieces:
         flist = []
         if direction == "up":
-            cands = [
-                aid for aid, a in up_arcs.items() if ("e", a.birth_edge) in comp
-            ]
+            cands = [aid for aid, a in up_arcs.items() if a.birth_edge in comp]
         else:
-            cands = [
-                aid for aid, a in down_arcs.items() if ("e", a.death_edge) in comp
-            ]
+            cands = [aid for aid, a in down_arcs.items() if a.death_edge in comp]
         arc_id = cands[0] if len(cands) == 1 else None
         if arc_id is None:
             ok = False
@@ -377,7 +444,7 @@ def certify_node_starlike(g, c, field, node_id, slicer=None):
                     value=value,
                     side=side,
                     pieces=len(cands),
-                    representatives=(min(comp),),
+                    representatives=(slicer.label(min(comp)),),
                 )
             )
             stubs.append(
@@ -395,24 +462,20 @@ def certify_node_starlike(g, c, field, node_id, slicer=None):
         t_end = _truncation_cut(
             slicer, node.height, g.nodes[other].height, direction == "up"
         )
-        walked = 0
-        for t, n, comps, _ in _runs(slicer, [comp], t_n + step, t_end, step):
-            if len(comps) == 1:
-                walked += n
-                continue
-            # the stub ends on the first cut where it is not one piece
-            walked += 1
+        strand = strands.get(arc_id) if direction == "up" else None
+        walked, bad = _stub_walk(slicer, comp, t_n + step, t_end, step, strand)
+        if bad is not None:
+            t, comps = bad
             value, side = slicer.cut_position(t)
             flist.append(
                 CutFailure(
                     value=value,
                     side=side,
                     pieces=1 + len(comps),
-                    representatives=tuple(sorted(min(x) for x in comps)),
+                    representatives=_representatives(slicer, comps),
                 )
             )
             ok = False
-            break
         stubs.append(
             StubReport(
                 direction=direction,
@@ -434,23 +497,27 @@ def certify_node_starlike(g, c, field, node_id, slicer=None):
 
 
 def certify_graph(g, c, field):
-    """Run every certificate; ok only when all individual checks pass."""
+    """Run every certificate; ok only when all individual checks pass.
+
+    Star-like up-stubs read their result off the strand records of the
+    cylindrical checks (see the module docstring).
+    """
     _require_surface(c)
     slicer = LevelSlicer(c, field)
     embedding = tuple(
         certify_arc_embedding(g, field, a.id) for a in g.arcs
     )
-    cylindrical = tuple(
-        certify_arc_cylindrical(g, c, field, a.id, slicer=slicer) for a in g.arcs
-    )
-    starlike = tuple(
-        certify_node_starlike(g, c, field, n.id, slicer=slicer) for n in g.nodes
-    )
+    cylindrical = []
+    strands = {}
+    for a in g.arcs:
+        cert, strands[a.id] = _cylindrical(g, a.id, slicer)
+        cylindrical.append(cert)
+    starlike = tuple(_starlike(g, c, n.id, slicer, strands) for n in g.nodes)
     ok = (
         all(x.ok for x in embedding)
         and all(x.ok for x in cylindrical)
         and all(x.ok for x in starlike)
     )
     return GraphCertificate(
-        ok=ok, embedding=embedding, cylindrical=cylindrical, starlike=starlike
+        ok=ok, embedding=embedding, cylindrical=tuple(cylindrical), starlike=starlike
     )

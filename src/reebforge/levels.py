@@ -8,6 +8,15 @@ edges whose endpoint values strictly straddle it; two items are adjacent
 when a triangle contains both, or when an edge joins two equal-value
 vertices.
 
+Items are integers: edge e is item e and vertex v is item E + v, for
+E = len(c.edges). Every edge item is smaller than every vertex item, so
+integer order is the order of the ("e", e) < ("v", v) pairs they stand for,
+and the smallest item of a component is the same one either way. Only this
+module computes vertex items. LevelSlicer.vertex_item and
+LevelSlicer.vertices_of convert vertices in and out, and LevelSlicer.label
+turns an item back into its ("e", id) or ("v", id) pair wherever items leave
+the library: certificate representatives and ContourRef.
+
 Walks that follow components from cut to cut may jump. While no component
 they hold contains a vertex item, those components repeat exactly at every
 cut up to the first at cut where one of their edges ends (next_change): a
@@ -52,6 +61,9 @@ class LevelSlicer:
 
     Internally cut t is an integer: even t = 2k is the at cut of the k-th
     distinct value, odd t = 2k + 1 is the mid cut between values k and k+1.
+    Items are integers (see the module docstring): edge ids stand for
+    themselves, vertex_item(v) gives a vertex's item, and label(item) gives
+    the ("e", id)/("v", id) pair that certificates and ContourRef report.
     """
 
     def __init__(self, c, field):
@@ -60,22 +72,46 @@ class LevelSlicer:
         distinct = sorted(set(field.values))
         self.values = distinct
         self.value_index = {x: k for k, x in enumerate(distinct)}
-        # vertex_cut[v] is the at cut of v, twice its value's index; edge e
-        # is an item of exactly the cuts strictly between its endpoints' at
-        # cuts, edge_lo[e] < t < edge_hi[e]
+        # vertex_cut[v] is the at cut of v, twice its value's index
         index = self.value_index
         self.vertex_cut = vcut = [2 * index[x] for x in field.values]
         self.at_vertices = [[] for _ in distinct]
         for v, cv in enumerate(vcut):
             self.at_vertices[cv >> 1].append(v)
-        self.edge_lo = []
-        self.edge_hi = []
-        for a, b in c.edges:
-            ca, cb = vcut[a], vcut[b]
-            self.edge_lo.append(ca if ca <= cb else cb)
-            self.edge_hi.append(cb if ca <= cb else ca)
         self.tri_edges = c.triangle_edges()
         self.cut_count = max(0, 2 * len(distinct) - 1)
+
+        # item x is an item of exactly the cuts item_lo[x] < t < item_hi[x]:
+        # those strictly between its endpoints' at cuts for an edge, its own
+        # at cut for a vertex
+        self.edge_count = E = len(c.edges)
+        self.item_lo = lo = []
+        self.item_hi = hi = []
+        for a, b in c.edges:
+            ca, cb = vcut[a], vcut[b]
+            lo.append(ca if ca <= cb else cb)
+            hi.append(cb if ca <= cb else ca)
+        lo.extend(cv - 1 for cv in vcut)
+        hi.extend(cv + 1 for cv in vcut)
+        # adj[x]: the only items that can be adjacent to x at a cut holding
+        # x. An edge's endpoints are never at a cut where it is active, and
+        # an edge through a vertex never is where the vertex is, so an edge
+        # lists the opposite corner and the other two edges of its
+        # triangles, and a vertex its neighbours and the opposite edges of
+        # its triangles (its triangles' corners are neighbours too)
+        vitem = list(range(E, E + c.vertex_count))  # one int object each
+        adj = [[] for _ in range(E)]
+        adj.extend([vitem[w] for w in c.neighbors(v)] for v in range(c.vertex_count))
+        for (a, b, cc), (ab, ac, bc) in zip(c.triangles, self.tri_edges):
+            adj[ab] += (vitem[cc], ac, bc)
+            adj[ac] += (vitem[b], ab, bc)
+            adj[bc] += (vitem[a], ab, ac)
+            adj[E + a].append(bc)
+            adj[E + b].append(ac)
+            adj[E + cc].append(ab)
+        for x, nbrs in enumerate(adj):
+            adj[x] = tuple(nbrs)
+        self.adj = adj
 
     # -- cut arithmetic --------------------------------------------------
 
@@ -114,57 +150,45 @@ class LevelSlicer:
         return ((self.values[k] + self.values[k + 1]) / 2, "mid")
 
     def edge_active(self, e, t):
-        return self.edge_lo[e] < t < self.edge_hi[e]
+        return self.item_lo[e] < t < self.item_hi[e]
 
-    # -- items and adjacency ----------------------------------------------
+    # -- items ---------------------------------------------------------
+
+    def vertex_item(self, v):
+        return self.edge_count + v
+
+    def vertices_of(self, items):
+        """Ascending vertex ids of the vertex items among items."""
+        E = self.edge_count
+        return sorted(x - E for x in items if x >= E)
+
+    def label(self, item):
+        """The ("e", edge id) or ("v", vertex id) pair item stands for."""
+        E = self.edge_count
+        return ("e", item) if item < E else ("v", item - E)
 
     def items_at(self, t):
-        lo, hi = self.edge_lo, self.edge_hi
-        items = [("v", u) for u in self.at_vertices[t >> 1]] if t % 2 == 0 else []
-        items.extend(("e", e) for e in range(len(lo)) if lo[e] < t < hi[e])
+        E = self.edge_count
+        lo, hi = self.item_lo, self.item_hi
+        items = [E + u for u in self.at_vertices[t >> 1]] if t % 2 == 0 else []
+        items.extend(e for e in range(E) if lo[e] < t < hi[e])
         return items
 
-    def neighbors(self, item, t):
-        """Items adjacent to item at cut t, in a fixed order.
-
-        This is the one adjacency routine; component searches through it.
-        """
-        c = self.c
-        vcut, lo, hi = self.vertex_cut, self.edge_lo, self.edge_hi
-        kind, i = item
-        is_edge = kind == "e"
-        out = []
-        if is_edge:
-            tris = c.edge_triangles(i)
-        else:
-            cu = vcut[i]
-            edges = c.edges
-            for ei in c.vertex_edges(i):
-                a, b = edges[ei]
-                w = b if a == i else a
-                if vcut[w] == cu:
-                    out.append(("v", w))
-            tris = c.vertex_triangles(i)
-        triangles, tri_edges = c.triangles, self.tri_edges
-        for ti in tris:
-            for p in triangles[ti]:
-                if vcut[p] == t and (is_edge or p != i):
-                    out.append(("v", p))
-            for e in tri_edges[ti]:
-                if lo[e] < t < hi[e] and (e != i or not is_edge):
-                    out.append(("e", e))
-        return out
+    # -- components and walks --------------------------------------------
 
     def component(self, t, seed):
-        """Connected level-set component of the seed item at cut t."""
+        """Connected level-set component of the seed item at cut t.
+
+        Every component search goes through here.
+        """
+        adj, lo, hi = self.adj, self.item_lo, self.item_hi
         seen = {seed}
         stack = [seed]
-        neighbors = self.neighbors
         while stack:
-            for nb in neighbors(stack.pop(), t):
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
+            for y in adj[stack.pop()]:
+                if lo[y] < t < hi[y] and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
         return frozenset(seen)
 
     def components_from(self, t, seeds):
@@ -180,36 +204,30 @@ class LevelSlicer:
         return comps
 
     def advance(self, items, t, direction):
-        """Seed items at cut t + direction reached from items at cut t."""
+        """Seed items at cut t + direction reached from items at cut t.
+
+        An edge still active there is its own seed; otherwise it ends on a
+        vertex at the next at cut. A vertex hands over to its edges active
+        there.
+        """
         t2 = t + direction
         if not 0 <= t2 < self.cut_count:
             return []
-        vcut, lo, hi = self.vertex_cut, self.edge_lo, self.edge_hi
-        edges = self.c.edges
-        vertex_edges = self.c.vertex_edges
-        seeds = []
-        seen = set()
-
-        def put(it):
-            if it not in seen:
-                seen.add(it)
-                seeds.append(it)
-
-        for it in items:
-            kind, i = it
-            if kind == "e":
-                if lo[i] < t2 < hi[i]:
-                    put(it)
-                else:
-                    # the edge ends on the vertex sitting at the next at cut
-                    for p in edges[i]:
-                        if vcut[p] == t2:
-                            put(("v", p))
+        E, lo, hi = self.edge_count, self.item_lo, self.item_hi
+        edges, vcut, vertex_edges = self.c.edges, self.vertex_cut, self.c.vertex_edges
+        seeds = {}
+        for x in items:
+            if lo[x] < t2 < hi[x]:
+                seeds[x] = None
+            elif x < E:
+                for p in edges[x]:
+                    if vcut[p] == t2:
+                        seeds[E + p] = None
             else:
-                for ei in vertex_edges(i):
-                    if lo[ei] < t2 < hi[ei]:
-                        put(("e", ei))
-        return seeds
+                for y in vertex_edges(x - E):
+                    if lo[y] < t2 < hi[y]:
+                        seeds[y] = None
+        return list(seeds)
 
     def next_change(self, comps, t, direction):
         """First cut past t, in the walk's direction, where comps can change.
@@ -221,16 +239,16 @@ class LevelSlicer:
         module docstring). Without any item nothing changes again, and the
         answer lies past the last cut: cut_count going up, -1 going down.
         """
-        ends = self.edge_hi if direction > 0 else self.edge_lo
-        edge_ends = []
-        for comp in comps:
-            for kind, i in comp:
-                if kind == "v":
-                    return t + direction
-                edge_ends.append(ends[i])
-        if not edge_ends:
-            return self.cut_count if direction > 0 else -1
-        return min(edge_ends) if direction > 0 else max(edge_ends)
+        E = self.edge_count
+        # vertex items are the largest, so a component holds one exactly
+        # when its largest item is one
+        if any(max(comp) >= E for comp in comps):
+            return t + direction
+        if direction > 0:
+            hi = self.item_hi.__getitem__
+            return min((min(map(hi, comp)) for comp in comps), default=self.cut_count)
+        lo = self.item_lo.__getitem__
+        return max((max(map(lo, comp)) for comp in comps), default=-1)
 
 
 def level_components(c, field, value, side=AT):
@@ -250,9 +268,10 @@ def level_components(c, field, value, side=AT):
     items = slicer.items_at(t)
     comps = slicer.components_from(t, items)
     refs = []
+    E = slicer.edge_count
     for comp in comps:
-        verts = tuple(sorted(i[1] for i in comp if i[0] == "v"))
-        edges = tuple(sorted(c.edges[i[1]] for i in comp if i[0] == "e"))
+        verts = tuple(slicer.vertices_of(comp))
+        edges = tuple(sorted(c.edges[i] for i in comp if i < E))
         refs.append(
             ContourRef(
                 value=value,

@@ -831,7 +831,7 @@ def quotient_point(g, c, field, simplex, weights):
     slicer = LevelSlicer(c, field)
     t = slicer.cut_of(value, AT)
     if len(support) == 2:
-        seed = ("e", c.edge_id(*support))
+        seed = c.edge_id(*support)
     else:
         tri = tuple(sorted(support))
         ti = next(
@@ -839,11 +839,11 @@ def quotient_point(g, c, field, simplex, weights):
         )
         # the point's value lies strictly inside the triangle's range, so
         # the edge from its lowest to its highest corner crosses the cut
-        seed = ("e", min(e for e in slicer.tri_edges[ti] if slicer.edge_active(e, t)))
+        seed = min(e for e in slicer.tri_edges[ti] if slicer.edge_active(e, t))
     comp = slicer.component(t, seed)
     cur_t = t
     while True:
-        at_verts = sorted(v for k, v in comp if k == "v")
+        at_verts = slicer.vertices_of(comp)
         if at_verts:
             kind, idx = g.vertex_map[at_verts[0]]
             if kind == "arc":
@@ -852,7 +852,7 @@ def quotient_point(g, c, field, simplex, weights):
                 # the point's own contour is critical
                 return ("node", idx)
             for a in g.arcs:
-                if a.lower == idx and ("e", a.birth_edge) in prev:
+                if a.lower == idx and a.birth_edge in prev:
                     return ("arc", a.id, value)
             raise InternalError(
                 f"internal: no arc above node {idx} (vertex {at_verts[0]}) "

@@ -1,13 +1,19 @@
 """Structure certificates: passing cases, constructed failures, mutations."""
 
+import dataclasses
 import hashlib
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from helpers import random_closed_surface, with_swapped_endpoint, without_node
 from reebforge.certify import (
+    CutFailure,
     certify_arc_cylindrical,
     certify_arc_embedding,
     certify_graph,
@@ -26,7 +32,7 @@ from reebforge.gallery import (
     subdivided_sphere,
 )
 from reebforge.levels import LevelSlicer
-from reebforge.reeb import compute_reeb, minimal_structure
+from reebforge.reeb import ReebGraph, compute_reeb, minimal_structure
 from reebforge.simplicial import build_complex
 
 TETRA = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
@@ -111,6 +117,26 @@ def test_stale_seed_edge_reported_with_witness():
     assert cyl.failures[0].representatives == (("e", c.edge_id(2, 3)),)
 
 
+def test_arc_from_the_top_value_fails_without_a_cut_above():
+    c, f, g = tetra_case()
+    # the reversed arc's lower end sits at height 3, the field's top value,
+    # so no cut lies above it to hold the birth edge
+    (arc,) = g.arcs
+    reversed_arc = dataclasses.replace(arc, lower=arc.upper, upper=arc.lower)
+    cert = certify_graph(type(g)(g.nodes, (reversed_arc,), g.vertex_map), c, f)
+    cyl = cert.cylindrical[0]
+    assert not cert.ok and not cyl.ok and not cyl.seed_active
+    assert cyl.cuts_tested == 0
+    assert cyl.failures == (
+        CutFailure(
+            value=Fraction(3),
+            side="above",
+            pieces=0,
+            representatives=(("e", arc.birth_edge),),
+        ),
+    )
+
+
 def test_mutations_are_caught():
     cases = []
     c1 = grid_torus(8, 8)
@@ -167,13 +193,18 @@ def test_boundary_surface_certifies():
     assert cert.ok, cert.failures()
 
 
-def test_certify_component_walks_stay_linear(monkeypatch):
-    # walks jump over cuts where their level set cannot change; walking every
-    # cut took about 69 component searches per vertex here
+def random_field_sphere():
     c = subdivided_sphere(3)
     rng = random.Random(0)
     f = ScalarField([rng.random() for _ in range(c.vertex_count)])
-    g = compute_reeb(c, f)
+    return c, f, compute_reeb(c, f)
+
+
+def test_certify_component_walks_stay_linear(monkeypatch):
+    # walks jump over cuts where their level set cannot change, and up-stubs
+    # read their strand's record: walking every cut took about 69 component
+    # searches per vertex here, walking up-stubs again 5.12
+    c, f, g = random_field_sphere()
     calls = []
     component = LevelSlicer.component
 
@@ -183,7 +214,21 @@ def test_certify_component_walks_stay_linear(monkeypatch):
 
     monkeypatch.setattr(LevelSlicer, "component", counted)
     assert certify_graph(g, c, f).ok
-    assert len(calls) <= 8 * c.vertex_count
+    assert len(calls) <= 4.8 * c.vertex_count
+
+
+def test_certify_memory_stays_small():
+    # certify_graph keeps no component beyond the walk that found it, and
+    # one strand record per arc: a memo of every (cut, item) search took
+    # about 3.9 MB here
+    c, f, g = random_field_sphere()
+    tracemalloc.start()
+    try:
+        assert certify_graph(g, c, f).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # SHA-256 of certificates_to_json_bytes for (graph, with_swapped_endpoint,
@@ -280,3 +325,94 @@ def test_stub_walk_failures_frozen():
         assert (node_id, stub.failures[0].value) == expected[direction]
         assert stub.direction == direction and stub.failures[0].pieces == 3
         assert stub.cuts_walked == 9
+
+
+def moved_end(g, rng):
+    """The graph with one random arc end moved to a random node."""
+    arcs = list(g.arcs)
+    a = rng.choice(arcs)
+    end = rng.choice(("lower", "upper"))
+    arcs[a.id] = dataclasses.replace(a, **{end: rng.randrange(len(g.nodes))})
+    return ReebGraph(g.nodes, arcs, g.vertex_map)
+
+
+def test_up_stubs_read_off_the_strand_match_walked_stubs():
+    # certify_graph reads up-stubs off the strand walks of their arcs, and
+    # certify_node_starlike walks every stub
+    rng = random.Random(4)
+    cases = []
+    for c, f in [
+        (subdivided_sphere(2), None),
+        (grid_torus(6, 5), None),
+        realize(AbstractReebSpec((Fraction(0), Fraction(1), Fraction(2)), ((0, 1), (0, 2)))),
+        *((random_closed_surface(rng, max_vertices=60), None) for _ in range(6)),
+    ]:
+        f = f or ScalarField([rng.random() for _ in range(c.vertex_count)])
+        g = compute_reeb(c, f)
+        mutants = [g, with_swapped_endpoint(g), without_node(g)]
+        mutants += [moved_end(g, rng) for _ in range(4)]
+        cases += [(m, c, f) for m in mutants]
+    (c, f), = [(c, f) for name, c, f in gen_surface_zoo() if name == "tent-torus"]
+    g = compute_reeb(c, f)
+    top = len(g.nodes) - 1
+    for pick, ends in (
+        (lambda a: a.upper == top, {"lower": 0}),
+        (lambda a: a.lower == 0, {"upper": top}),
+    ):
+        arcs = list(g.arcs)
+        a = next(a for a in arcs if pick(a))
+        arcs[a.id] = dataclasses.replace(a, **ends)
+        cases.append((ReebGraph(g.nodes, arcs, g.vertex_map), c, f))
+
+    failed_up = 0
+    for m, c, f in cases:
+        starlike = certify_graph(m, c, f).starlike
+        assert starlike == tuple(certify_node_starlike(m, c, f, n.id) for n in m.nodes)
+        failed_up += sum(
+            1
+            for st in starlike
+            for stub in st.stubs
+            if stub.direction == "up" and stub.arc_id is not None and stub.failures
+        )
+    # the tent-torus mutant's up-stub that splits at 9/2, and others
+    assert failed_up >= 2
+
+
+# certificates of mutants of a computed graph whose arc's upper end moved to
+# a node below its lower end; their attachment checks take a seed from items
+# the strand's one cut hands to a cut below it, which lie in several
+# components there
+HASH_SEED_SCRIPT = """
+import dataclasses, hashlib, random
+from reebforge.certify import certify_graph
+from reebforge.export import certificates_to_json_bytes
+from reebforge.fields import ScalarField
+from reebforge.gallery import subdivided_sphere
+from reebforge.reeb import ReebGraph, compute_reeb
+
+c = subdivided_sphere(2)
+rng = random.Random(0)
+f = ScalarField([rng.random() for _ in range(c.vertex_count)])
+g = compute_reeb(c, f)
+for arc_id, node_id in ((9, 3), (18, 4), (19, 9), (20, 13)):
+    assert g.nodes[node_id].height < g.nodes[g.arcs[arc_id].lower].height
+    arcs = list(g.arcs)
+    arcs[arc_id] = dataclasses.replace(arcs[arc_id], upper=node_id)
+    cert = certify_graph(ReebGraph(g.nodes, arcs, g.vertex_map), c, f)
+    print(hashlib.sha256(certificates_to_json_bytes(cert)).hexdigest())
+"""
+
+
+def test_mutant_certificates_do_not_depend_on_hash_seed():
+    outs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert len(outs[0].split()) == 4
+    assert outs[0] == outs[1]
