@@ -11,9 +11,9 @@ node heights.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite
 
 from .errors import CountMismatch, InputError, ManifoldRequired, NonFiniteValue
 from .simplicial import _pair_components
@@ -31,7 +31,7 @@ __all__ = [
 
 def _check_value(x, where):
     if isinstance(x, float):
-        if not math.isfinite(x):
+        if not isfinite(x):
             raise NonFiniteValue(f"{where}: non-finite value {x!r}")
     elif not isinstance(x, (int, Fraction)):
         raise InputError(f"{where}: unsupported value type {type(x).__name__}")
@@ -49,8 +49,10 @@ class ScalarField:
 
     def __init__(self, values, tiebreak=None):
         vals = tuple(values)
+        # _check_value builds its message, so it runs only on a bad value
         for i, x in enumerate(vals):
-            _check_value(x, f"value {i}")
+            if not (isinstance(x, float) and isfinite(x) or isinstance(x, (int, Fraction))):
+                _check_value(x, f"value {i}")
         if tiebreak is None:
             tb = tuple(range(len(vals)))
         else:
@@ -252,7 +254,7 @@ def parse_value(token):
         x = float(token)
     except ValueError as exc:
         raise InputError(f"bad field value {token!r}") from exc
-    if not math.isfinite(x):
+    if not isfinite(x):
         raise NonFiniteValue(f"non-finite field value {token!r}")
     return x
 

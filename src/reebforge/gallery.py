@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import InputError, UnrealizableSpec
 from .fields import ScalarField
-from .simplicial import _pair_components, build_complex
+from .simplicial import _component_count, build_complex
 
 __all__ = [
     "RING_RESOLUTION",
@@ -65,11 +65,7 @@ class AbstractReebSpec:
         return len(self.arcs)
 
     def component_count(self):
-        n = len(self.heights)
-        for a, b in self.arcs:
-            if not (0 <= a < n and 0 <= b < n):
-                raise UnrealizableSpec(f"arc ({a}, {b}) references a missing node")
-        return len(_pair_components(self.arcs, range(n)))
+        return _component_count(len(self.heights), self.arcs, UnrealizableSpec)
 
     def b1(self):
         return len(self.arcs) - len(self.heights) + self.component_count()

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .errors import CountMismatch, InputError, InternalError, InvalidBarycentric
 from .fields import _link_class, _sweep_order
 from .levels import AT, ContourRef, LevelSlicer
-from .simplicial import _pair_components
+from .simplicial import _component_count, _pair_components
 
 __all__ = [
     "ReebNode",
@@ -40,7 +40,7 @@ __all__ = [
 NODE_KINDS = ("extremum", "saddle-like", "boundary", "flat-cluster")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class ReebNode:
     """A critical contour: one vertex of the quotient graph.
 
@@ -55,7 +55,25 @@ class ReebNode:
     kind: str
     witness_vertex: int
     vertices: tuple[int, ...]
-    contour: ContourRef
+
+    @property
+    def contour(self):
+        """The node's contour at its height, derived from the node on read.
+
+        It lists only the node's vertices: its edges are always (), without
+        the edges crossing the level that ContourRef can hold.
+        level_components at the node height gives the full contour.
+        """
+        return ContourRef(self.height, AT, self.witness_vertex, self.vertices, ())
+
+    def __repr__(self):
+        # dataclass-style, the derived contour last: test digests hash repr(nodes)
+        return (
+            f"ReebNode(id={self.id!r}, height={self.height!r}, "
+            f"degree={self.degree!r}, kind={self.kind!r}, "
+            f"witness_vertex={self.witness_vertex!r}, vertices={self.vertices!r}, "
+            f"contour={self.contour!r})"
+        )
 
 
 @dataclass(frozen=True)
@@ -97,11 +115,7 @@ class ReebGraph:
         # set by _freeze_graph: minimal_structure would rebuild the graph as is
         self._canonical = False
         n = len(self.nodes)
-        ends = [(a.lower, a.upper) for a in self.arcs]
-        for x, y in ends:
-            if not (0 <= x < n and 0 <= y < n):
-                raise InputError(f"arc ({x}, {y}) references a missing node")
-        self.components = len(_pair_components(ends, range(n)))
+        self.components = _component_count(n, [(a.lower, a.upper) for a in self.arcs])
         self.b1 = len(self.arcs) - n + self.components
 
     def node_arcs(self, node_id):
@@ -216,15 +230,13 @@ def _freeze_graph(nodes, arcs, vertex_count, vmap=None, *, where):
     for x in uppers:
         degree[x] += 1
 
-    node_objs = []
-    for new, old in enumerate(n_order):
-        h, wv, vs = heights[old], witnesses[old], tuple(verts[old])
-        node_objs.append(
-            ReebNode(
-                new, h, degree[old], kinds[old], wv, vs,
-                ContourRef(h, AT, wv, vs, ()),
-            )
+    node_objs = [
+        ReebNode(
+            new, heights[old], degree[old], kinds[old], witnesses[old],
+            tuple(verts[old]),
         )
+        for new, old in enumerate(n_order)
+    ]
     arc_objs = [
         ReebArc(
             new, lo[old], hi[old], births[old], deaths[old],
@@ -575,25 +587,17 @@ def _sweep(c, field):
         # each mixed triangle has a flank edge crossing the level: it lies
         # on a lower contour and closes an upper wedge with its spoke
         flank_tri = {}
-        pairs = []
         for ti in vtris[u]:
             a, b, t2 = tris[ti]
             e_ab, e_at, e_bt = tri_edges[ti]
             if u == a:
-                o1, o2, s1, s2, flk = b, t2, e_ab, e_at, e_bt
+                o1, o2, flk = b, t2, e_bt
             elif u == b:
-                o1, o2, s1, s2, flk = a, t2, e_ab, e_bt, e_at
+                o1, o2, flk = a, t2, e_at
             else:
-                o1, o2, s1, s2, flk = a, b, e_at, e_bt, e_ab
-            if pos[o1] < pu:
-                if pos[o2] > pu:
-                    flank_tri[flk] = ti
-                    pairs.append((s2, flk))
-            elif pos[o2] < pu:
+                o1, o2, flk = a, b, e_ab
+            if (pos[o1] < pu) != (pos[o2] < pu):
                 flank_tri[flk] = ti
-                pairs.append((s1, flk))
-            else:
-                pairs.append((s1, s2))
         for flk in flank_tri:
             r = find(ovr[flk])
             d = deaths.get(r)
@@ -616,14 +620,31 @@ def _sweep(c, field):
             items.sort()
             emit_node(w, (u,), "saddle-like", deaths, [items], pu)
             return
-        strands = _pair_components(pairs)
+        # each upper wedge is one strand: a run of the cut's contour through
+        # u's star, from a flank edge over the wedge's spokes to another
+        # flank edge. Walk it from either flank; each strand comes out as
+        # sorted items with its smaller flank first
+        wedges = []
+        done = set()
+        for f, t in flank_tri.items():
+            if f in done:
+                continue
+            e, items = f, [f]
+            while True:
+                e = across(e, t, pu)
+                items.append(e)
+                if e in flank_tri:
+                    break
+                t1, t2 = etris[e]
+                t = t2 if t1 == t else t1
+            done.add(e)
+            items.sort()
+            wedges.append((items, f, e) if f < e else (items, e, f))
+        wedges.sort()
+        strands = [items for items, _, _ in wedges]
         ends = None
-        if closed and len(strands) == 2:
-            # each strand is one upper wedge, bounded by two flank edges
-            ends = []
-            for items in strands:
-                f, g = [e for e in items if e in flank_tri]
-                ends.append((f, flank_tri[f], g))
+        if closed and len(wedges) == 2:
+            ends = [(f, flank_tri[f], g) for _, f, g in wedges]
         emit_node(w, (u,), "saddle-like", deaths, strands, pu, ends)
 
     def process_event(i, j, w):

@@ -349,7 +349,7 @@ class SimplicialComplex:
         return seen
 
     def component_count(self):
-        return len(connected_components(self))
+        return _component_count(self.vertex_count, self.edges)
 
     def __repr__(self):
         return (
@@ -440,6 +440,30 @@ def _pair_components(pairs, items=()):
             r = parent[r]
         comps.setdefault(r, []).append(x)
     return sorted(sorted(comp) for comp in comps.values())
+
+
+def _component_count(n, pairs, error=InputError):
+    """Number of components of the graph on 0 .. n - 1 with the (x, y) edges.
+
+    One list-indexed union-find pass; _pair_components is the routine that
+    returns the components themselves. A pair with an end outside the range
+    raises error, saying the arc references a missing node.
+    """
+    parent = list(range(n))
+    count = n
+    for x, y in pairs:
+        if not (0 <= x < n and 0 <= y < n):
+            raise error(f"arc ({x}, {y}) references a missing node")
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        while parent[y] != y:
+            parent[y] = parent[parent[y]]
+            y = parent[y]
+        if x != y:
+            parent[y] = x
+            count -= 1
+    return count
 
 
 def connected_components(c, vertices=None, edges=None):

@@ -12,6 +12,7 @@ import pytest
 
 from helpers import split_random_triangles
 from reebforge.errors import InputError
+from reebforge.export import graph_to_json_bytes
 from reebforge.fields import ScalarField
 from reebforge.gallery import grid_torus, subdivided_sphere
 from reebforge.oracle import oracle_reeb
@@ -61,6 +62,26 @@ def pinched_surface(rng):
     return build_complex(tris, vertex_count=c.vertex_count - 1)
 
 
+def stellar_subdivision(tets, rng, count):
+    """Complex of tets after `count` random stellar subdivisions of a tetrahedron.
+
+    Each one replaces a tetrahedron with the four joining a new vertex to
+    its faces, so the complex stays a 3-sphere or a 3-ball.
+    """
+    tets = list(tets)
+    nv = 1 + max(max(t) for t in tets)
+    for _ in range(count):
+        a, b, d, e = tets.pop(rng.randrange(len(tets)))
+        tets += [(a, b, d, nv), (a, b, e, nv), (a, d, e, nv), (b, d, e, nv)]
+        nv += 1
+    return from_simplices(tets, vertex_count=nv)
+
+
+# the boundary of the 4-simplex, a 3-sphere, and one solid tetrahedron
+SIMPLEX4_BOUNDARY = [tuple(x for x in range(5) if x != k) for k in range(5)]
+SOLID_TETRA = [(0, 1, 2, 3)]
+
+
 def tie_field(rng, n):
     if rng.random() < 0.5:
         vals = [rng.randrange(3) for _ in range(n)]
@@ -102,6 +123,26 @@ def test_sweep_matches_oracle_on_tie_heavy_fields():
         base = subdivided_sphere(1) if trial % 2 else grid_torus(3, 4)
         c = split_random_triangles(base, rng, rng.randrange(0, 60))
         assert_sweep_matches_oracle(c, tie_field(rng, c.vertex_count), trial)
+
+
+def test_sweep_matches_oracle_on_tetrahedral_complexes():
+    # the sweep reads tetrahedra through their triangles; the oracle slices
+    # the same 2-skeleton, so both give one graph, node and arc ids included
+    rng = random.Random(34)
+    for trial in range(80):
+        base = SIMPLEX4_BOUNDARY if trial % 2 else SOLID_TETRA
+        c = stellar_subdivision(base, rng, rng.randrange(0, 25))
+        assert c.tetrahedra and not c.is_surface, trial
+        n = c.vertex_count
+        tb = list(range(n))
+        rng.shuffle(tb)
+        if trial % 4 < 2:
+            vals = [rng.random() for _ in range(n)]
+        else:
+            vals = [rng.randrange(4) for _ in range(n)]
+        f = ScalarField(vals, tiebreak=tb)
+        g, o = compute_reeb(c, f), oracle_reeb(c, f)
+        assert graph_to_json_bytes(g) == graph_to_json_bytes(o), trial
 
 
 def test_bare_edge_is_input_error():

@@ -55,6 +55,18 @@ def test_bad_inputs_rejected():
         ScalarField(["0.5"])
 
 
+def test_bad_value_message_names_the_first_bad_index():
+    with pytest.raises(NonFiniteValue, match=r"^value 3: non-finite value -inf$"):
+        ScalarField([0.5, 1, Fraction(1, 3), -math.inf, float("nan")])
+    with pytest.raises(InputError, match=r"^value 2: unsupported value type str$"):
+        ScalarField([True, 2.5, "0.5", None])
+    # accepted: float subclasses, ints including bool, and Fractions
+    class Height(float):
+        pass
+
+    assert ScalarField([Height(0.5), False, 3, Fraction(1, 2)]).values[1] is False
+
+
 def test_column_torus_classification():
     # per-column profile min(j, 8-j): every vertex shares its value along
     # its column ring, one ring per j, critical rings at j = 0 and j = 4

@@ -31,6 +31,7 @@ from reebforge.gallery import (
     realize,
     subdivided_sphere,
 )
+from reebforge.levels import AT, ContourRef
 from reebforge.oracle import oracle_reeb
 from reebforge.reeb import (
     ReebArc,
@@ -135,6 +136,24 @@ def test_arc_to_a_missing_node_is_an_input_error():
         bad = dataclasses.replace(g.arcs[0], upper=end)
         with pytest.raises(InputError, match="references a missing node"):
             ReebGraph(g.nodes, (bad,), g.vertex_map)
+
+
+def test_node_contour_is_derived_from_the_node():
+    def check(g):
+        for n in g.nodes:
+            assert n.contour == ContourRef(n.height, AT, n.witness_vertex, n.vertices, ())
+            moved = dataclasses.replace(n, id=n.id + 7)
+            assert moved.contour == n.contour and moved != n
+
+    for _, c, f in gen_surface_zoo():
+        for g in (compute_reeb(c, f), oracle_reeb(c, f)):
+            check(g)
+            check(minimal_structure(g))
+    check(minimal_structure(compute_reeb(*gen_example1(4))))
+    spec = random_spec(random.Random(4), max_nodes=8)
+    check(spec_to_graph(spec))
+    node = {"height": Fraction(1, 2), "kind": "extremum", "witness": 1, "vertices": (1, 0)}
+    check(_build_graph([node], [], [("node", 0), ("node", 0)]))
 
 
 def test_arc_interiors_are_regular_and_inside():
@@ -440,7 +459,7 @@ def random_hand_built_graph(rng):
     for i, h in enumerate(heights):
         vs = tuple(range(top, top + rng.randrange(1, 3)))[:: rng.choice((1, -1))]
         top += len(vs)
-        nodes.append(ReebNode(i, h, degree[i], "flat-cluster", rng.randrange(3), vs, None))
+        nodes.append(ReebNode(i, h, degree[i], "flat-cluster", rng.randrange(3), vs))
         vmap += [("node", i)] * len(vs)
     for k, (x, y) in enumerate(ends):
         if rng.random() < 0.5:
